@@ -51,6 +51,7 @@ from .geometry import (
     NormalizedFeature,
     PlanarTransform,
     Pose2,
+    cbrt_signed,
     normalize,
     project,
     relative_transform,
@@ -67,13 +68,11 @@ from .parking_controller import (
     TwistLimits,
     U0Branch,
     U1Branch,
-    cbrt_signed,
     compute_gains,
     control_u0,
     control_u1,
     in_invariant_set,
     lyapunov_V,
-    phi_z1,
     riccati_residual,
 )
 from .parking_controller import step as controller_step

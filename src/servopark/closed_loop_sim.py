@@ -36,6 +36,7 @@ from .errors import (
 )
 from .geometry import (
     DEFAULT_INTRINSICS,
+    Y_TOL,
     CameraIntrinsics,
     FeaturePoint3,
     NormalizedFeature,
@@ -54,7 +55,7 @@ from .parking_controller import (
     in_invariant_set,
 )
 from .parking_controller import step as controller_step
-from .pose_estimator import _Y_TOL, MatchedPair, estimate_pose
+from .pose_estimator import MatchedPair, estimate_pose
 
 # Convergence requires the twist to be this quiet for a full second, so a
 # fast crossing of the goal is not declared success.
@@ -242,7 +243,7 @@ def generate_observations(
             pixel = (pixel[0] + noise[i, 0], pixel[1] + noise[i, 1])
         cur = normalize(pixel, K)
         ref = NormalizedFeature(f.Y_star / f.X_star, f.Z_star / f.X_star)
-        if abs(cur.y) < _Y_TOL or abs(ref.y) < _Y_TOL:
+        if abs(cur.y) < Y_TOL or abs(ref.y) < Y_TOL:
             continue
         pairs.append(MatchedPair(cur, ref, f.X_star))
     return pairs

@@ -23,9 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateFeature, ZeroAnchorDepth
-from .geometry import NormalizedFeature, PlanarTransform
-
-_Y_TOL = 1e-12  # below this the division by a vertical coordinate is meaningless
+from .geometry import Y_TOL, NormalizedFeature, PlanarTransform
 
 
 @dataclass(frozen=True)
@@ -82,7 +80,7 @@ def error_from_features(
     result is independent of which feature is used; the transform-based
     construction is the oracle for that claim.
     """
-    if abs(current.y) < _Y_TOL or abs(reference.y) < _Y_TOL:
+    if abs(current.y) < Y_TOL or abs(reference.y) < Y_TOL:
         raise DegenerateFeature("vertical normalized coordinate too close to zero")
     s, c = math.sin(angle), math.cos(angle)
     x_e = 1.0 / current.y - (s * reference.x + c) / reference.y

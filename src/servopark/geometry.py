@@ -18,6 +18,13 @@ from dataclasses import dataclass
 
 from .errors import InvalidParams
 
+Y_TOL = 1e-12  # below this the division by a vertical coordinate is meaningless
+
+
+def cbrt_signed(x: float) -> float:
+    """Real cube root, odd in x."""
+    return math.copysign(abs(x) ** (1.0 / 3.0), x)
+
 
 def wrap_angle(theta: float) -> float:
     """Wrap an angle to the half-open interval (-pi, pi]."""

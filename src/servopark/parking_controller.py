@@ -36,6 +36,7 @@ from enum import Enum
 
 from .error_state import AnchorDepth, BodyTwist, ChainedInput, ChainedState, inputs_to_twist
 from .errors import InvalidParams
+from .geometry import cbrt_signed
 
 # Switching tolerances. Exact zeros never occur in floating point, so the
 # published zero-tests become deadbands of this width.
@@ -111,11 +112,6 @@ class TwistLimits:
             raise InvalidParams("twist limits must be positive")
 
 
-def cbrt_signed(x: float) -> float:
-    """Real cube root, odd in x."""
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
-
-
 def implicit_cbrt(z: float, dt: float) -> float:
     """Unique real root y of y^3 + dt y = z, for dt >= 0; cbrt(z) at dt = 0.
 
@@ -163,28 +159,42 @@ def lyapunov_V(z: ChainedState, g: ControllerGains, p: ControllerParams) -> floa
     return g.P1 * z.z1 * z.z1 - 2.0 * g.P2 * z.z1 * w + g.P3 * w * w
 
 
-def in_invariant_set(z: ChainedState, g: ControllerGains, p: ControllerParams) -> bool:
+def in_invariant_set(
+    z: ChainedState, g: ControllerGains, p: ControllerParams, V: float | None = None
+) -> bool:
     """Membership in Gamma: V below a |kappa0 z0|^(2 epsilon) threshold.
 
     The published |z0| + |z1| = 0 clause is replaced by the deadband test,
     since at z0 = 0 the threshold itself is zero and strict inequality can
-    never admit the origin.
+    never admit the origin.  ``V`` is lyapunov_V(z, g, p) when the caller
+    already has it.
     """
-    if lyapunov_V(z, g, p) < p.delta * abs(p.kappa0 * z.z0) ** (2.0 * p.epsilon):
+    if V is None:
+        V = lyapunov_V(z, g, p)
+    if V < p.delta * abs(p.kappa0 * z.z0) ** (2.0 * p.epsilon):
         return True
     return abs(z.z0) <= EPS_STATE and abs(z.z1) <= EPS_STATE
 
 
-def control_u0(z: ChainedState, g: ControllerGains, p: ControllerParams, dt: float = 0.0):
+def control_u0(
+    z: ChainedState,
+    g: ControllerGains,
+    p: ControllerParams,
+    dt: float = 0.0,
+    in_gamma: bool | None = None,
+):
     """First chained input and the branch that produced it.
 
     Branch order matters: the deadband cube-root test runs before the
     invariant-set test, which runs before the ratio law.  ``dt`` is the
-    hold time of the cube-root law (0 for the continuous-time law).
+    hold time of the cube-root law (0 for the continuous-time law), and
+    ``in_gamma`` is in_invariant_set(z, g, p) when the caller already has it.
     """
     if abs(z.z1) <= EPS_STATE and abs(z.z2) <= EPS_STATE:
         return -implicit_cbrt(z.z0, dt), U0Branch.CUBE_ROOT
-    if in_invariant_set(z, g, p):
+    if in_gamma is None:
+        in_gamma = in_invariant_set(z, g, p)
+    if in_gamma:
         return -p.kappa0 * z.z0, U0Branch.IN_GAMMA
     psi = z.z2 if abs(z.z2) > EPS_STATE else _sign(z.z0 * z.z1)
     return -g.kappa1 * z.z1 / psi, U0Branch.RATIO_LAW
@@ -201,11 +211,6 @@ def control_u1(
     return -(g.P2 / u0) * z.z1 - g.P3 * z.z2, U1Branch.RICCATI_LAW
 
 
-def phi_z1(z: ChainedState) -> float:
-    """Lateral-error storage function z1^2 / 2, decreased by the ratio law."""
-    return 0.5 * z.z1 * z.z1
-
-
 def step(
     z: ChainedState,
     g: ControllerGains,
@@ -218,8 +223,12 @@ def step(
 
     ``dt`` is the zero-order-hold time the twist will be applied for; it
     selects the sampled-data cube root (0 gives the continuous-time law).
+    V is evaluated once and serves both the invariant-set test and the
+    returned decision.
     """
-    u0, b0 = control_u0(z, g, p, dt)
+    V = lyapunov_V(z, g, p)
+    in_gamma = in_invariant_set(z, g, p, V)
+    u0, b0 = control_u0(z, g, p, dt, in_gamma)
     u1, b1 = control_u1(z, u0, g, p, dt)
     u = ChainedInput(u0, u1)
     twist = inputs_to_twist(u, z, anchor)
@@ -228,5 +237,5 @@ def step(
             min(limits.v_max, max(-limits.v_max, twist.v)),
             min(limits.omega_max, max(-limits.omega_max, twist.omega)),
         )
-    decision = ControlDecision(u, b0, b1, in_invariant_set(z, g, p), lyapunov_V(z, g, p))
+    decision = ControlDecision(u, b0, b1, in_gamma, V)
     return twist, decision

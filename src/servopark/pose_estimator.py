@@ -12,7 +12,10 @@ an unconstrained linear least squares with a closed-form solution.
 
 The whole pipeline is deterministic: pairs are put into a canonical order
 before any summation, so permuting the input list cannot change a single
-bit of the output.
+bit of the output.  Each call unpacks every pair once, in that order, into
+a plain tuple (x, y, x_ref, y_ref, X_star, y_ref / y), and all the sums run
+over those tuples; ``pair_coeffs`` stays as the per-pair reference that the
+inlined pair loop of ``accumulate`` reproduces bit for bit.
 """
 
 from __future__ import annotations
@@ -27,9 +30,8 @@ from .errors import (
     InvalidParams,
     NumericalFailure,
 )
-from .geometry import NormalizedFeature, PlanarTransform
+from .geometry import Y_TOL, NormalizedFeature, PlanarTransform, cbrt_signed
 
-_Y_TOL = 1e-12
 MAX_FEATURES = 64  # reject rather than silently subsample
 
 
@@ -42,7 +44,7 @@ class MatchedPair:
     X_star: float
 
     def __post_init__(self) -> None:
-        if abs(self.cur.y) < _Y_TOL or abs(self.ref.y) < _Y_TOL:
+        if abs(self.cur.y) < Y_TOL or abs(self.ref.y) < Y_TOL:
             raise DegenerateFeature("vertical normalized coordinate too close to zero")
         if not self.X_star > 0.0:
             raise InvalidParams("reference depth must be positive")
@@ -102,9 +104,14 @@ def pair_coeffs(p_i: MatchedPair, p_j: MatchedPair) -> PairCoeffs:
     return PairCoeffs(a, b, c)
 
 
-def _canonical(pairs: list[MatchedPair]) -> list[MatchedPair]:
+# One matched pair, unpacked: (x, y, x_ref, y_ref, X_star, y_ref / y).
+_Row = tuple[float, float, float, float, float, float]
+
+
+def _rows(pairs: list[MatchedPair]) -> list[_Row]:
     # fixed summation order makes the estimate permutation-invariant bit for bit
-    return sorted(pairs, key=lambda p: (p.ref.x, p.ref.y, p.cur.x, p.cur.y, p.X_star))
+    ordered = sorted(pairs, key=lambda p: (p.ref.x, p.ref.y, p.cur.x, p.cur.y, p.X_star))
+    return [(p.cur.x, p.cur.y, p.ref.x, p.ref.y, p.X_star, p.ref.y / p.cur.y) for p in ordered]
 
 
 def accumulate(pairs: list[MatchedPair], max_features: int = MAX_FEATURES) -> NormalAccumulators:
@@ -113,20 +120,21 @@ def accumulate(pairs: list[MatchedPair], max_features: int = MAX_FEATURES) -> No
         raise InvalidParams(f"more than {max_features} features; refusing to subsample")
     if len(pairs) < 2:
         raise InsufficientFeatures("at least two matched features are required")
-    ordered = _canonical(pairs)
+    rows = _rows(pairs)
     a1 = a2 = a3 = b1 = b2 = c_sq = 0.0
-    n = 0
-    for i in range(len(ordered)):
-        for j in range(i + 1, len(ordered)):
-            pc = pair_coeffs(ordered[i], ordered[j])
-            a1 += pc.a * pc.a
-            a2 += pc.a * pc.b
-            a3 += pc.b * pc.b
-            b1 -= pc.a * pc.c
-            b2 -= pc.b * pc.c
-            c_sq += pc.c * pc.c
-            n += 1
-    return NormalAccumulators(a1, a2, a3, b1, b2, c_sq, n)
+    for i, (xi, yi, xi_r, yi_r, _, ri) in enumerate(rows):
+        for xj, yj, xj_r, yj_r, _, rj in rows[i + 1:]:
+            # pair_coeffs, inlined: the same expressions in the same order
+            a = ri * (xi * xj_r + 1.0) - rj * (xi_r * xj + 1.0)
+            b = ri * (xj_r - xi) - rj * (xi_r - xj)
+            c = (yi_r * yj_r) / (yi * yj) * (xi - xj) + (xi_r - xj_r)
+            a1 += a * a
+            a2 += a * b
+            a3 += b * b
+            b1 -= a * c
+            b2 -= b * c
+            c_sq += c * c
+    return NormalAccumulators(a1, a2, a3, b1, b2, c_sq, len(rows) * (len(rows) - 1) // 2)
 
 
 def quartic_coeffs(acc: NormalAccumulators) -> tuple[float, float, float, float]:
@@ -158,7 +166,7 @@ def _real_cubic_roots(b: float, c: float, d: float) -> list[float]:
     disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
     if disc > 0.0:
         s = math.sqrt(disc)
-        t = cbrt(-q / 2.0 + s) + cbrt(-q / 2.0 - s)
+        t = cbrt_signed(-q / 2.0 + s) + cbrt_signed(-q / 2.0 - s)
         return [t + shift]
     if p == 0.0 and q == 0.0:
         return [shift]
@@ -167,10 +175,6 @@ def _real_cubic_roots(b: float, c: float, d: float) -> list[float]:
     arg = max(-1.0, min(1.0, 3.0 * q / (2.0 * p * r)))
     ang = math.acos(arg) / 3.0
     return [2.0 * r * math.cos(ang - 2.0 * math.pi * k / 3.0) + shift for k in range(3)]
-
-
-def cbrt(x: float) -> float:
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
 def _quadratic_roots(b: float, c: float, rescue_band: float = 0.0) -> list[float]:
@@ -513,32 +517,27 @@ def estimate_rotation(acc: NormalAccumulators) -> RotationEstimate:
     return found[0]
 
 
-def _terms(ordered: list[MatchedPair], s: float, c: float) -> list[tuple[float, float]]:
+def _terms(rows: list[_Row], s: float, c: float) -> list[tuple[float, float]]:
     # MatchedPair already guarantees the vertical coordinates are usable
     return [
-        (
-            p.X_star * (p.ref.y / p.cur.y - (c - p.ref.x * s)),
-            p.X_star * ((p.cur.x - p.ref.x) * c - (p.cur.x * p.ref.x + 1.0) * s),
-        )
-        for p in ordered
+        (X * (r - (c - xr * s)), X * ((x - xr) * c - (x * xr + 1.0) * s))
+        for x, _, xr, _, X, r in rows
     ]
 
 
 def translation_terms(p: MatchedPair, r: RotationEstimate) -> tuple[float, float]:
     """Per-feature right-hand sides of the translation least squares."""
-    if abs(p.cur.y) < _Y_TOL or abs(p.ref.y) < _Y_TOL:
+    if abs(p.cur.y) < Y_TOL or abs(p.ref.y) < Y_TOL:
         raise DegenerateFeature("vertical normalized coordinate too close to zero")
-    return _terms([p], r.sin_theta, r.cos_theta)[0]
+    return _terms(_rows([p]), r.sin_theta, r.cos_theta)[0]
 
 
-def _solve_translation(
-    ordered: list[MatchedPair], terms: list[tuple[float, float]]
-) -> tuple[float, float]:
+def _solve_translation(rows: list[_Row], terms: list[tuple[float, float]]) -> tuple[float, float]:
     """Translation least squares from per-feature terms, in canonical order."""
-    n = float(len(ordered))
+    n = float(len(rows))
     sum_x = sum_e = sum_dxe = sum_xx = 0.0
-    for p, (d, e) in zip(ordered, terms):
-        x = p.cur.x
+    for row, (d, e) in zip(rows, terms):
+        x = row[0]
         sum_x += x
         sum_e += e
         sum_dxe += d - x * e
@@ -555,21 +554,21 @@ def estimate_translation(pairs: list[MatchedPair], r: RotationEstimate) -> tuple
     """Closed-form minimizer of sum (d_i - t_x)^2 + (e_i + x_i t_x - t_y)^2."""
     if not pairs:
         raise InsufficientFeatures("at least one matched feature is required")
-    ordered = _canonical(pairs)
-    return _solve_translation(ordered, [translation_terms(p, r) for p in ordered])
+    rows = _rows(pairs)
+    return _solve_translation(rows, _terms(rows, r.sin_theta, r.cos_theta))
 
 
 def _translation_residual(
-    ordered: list[MatchedPair], terms: list[tuple[float, float]], t_x: float, t_y: float
+    rows: list[_Row], terms: list[tuple[float, float]], t_x: float, t_y: float
 ) -> float:
     resid = 0.0
-    for p, (d, e) in zip(ordered, terms):
-        resid += (d - t_x) ** 2 + (e + p.cur.x * t_x - t_y) ** 2
+    for row, (d, e) in zip(rows, terms):
+        resid += (d - t_x) ** 2 + (e + row[0] * t_x - t_y) ** 2
     return resid
 
 
 def _gauss_newton_step(
-    ordered: list[MatchedPair],
+    rows: list[_Row],
     terms: list[tuple[float, float]],
     s: float,
     c: float,
@@ -585,8 +584,7 @@ def _gauss_newton_step(
     the system is singular.
     """
     h00 = h01 = h02 = h11 = h12 = g0 = g1 = g2 = 0.0
-    for p, (d, e) in zip(ordered, terms):
-        x, xr, X = p.cur.x, p.ref.x, p.X_star
+    for (x, _, xr, _, X, _), (d, e) in zip(rows, terms):
         dd = X * (s + xr * c)  # d(d_i)/d(theta)
         de = -X * ((x - xr) * s + (x * xr + 1.0) * c)  # d(e_i)/d(theta)
         rd = d - t_x
@@ -600,7 +598,7 @@ def _gauss_newton_step(
         g0 += dd * rd + de * re
         g1 += x * re - rd
         g2 -= re
-    h22 = float(len(ordered))
+    h22 = float(len(rows))
     m00 = h11 * h22 - h12 * h12
     m01 = h02 * h12 - h01 * h22
     m02 = h01 * h12 - h02 * h11
@@ -642,17 +640,17 @@ def estimate_pose(pairs: list[MatchedPair]) -> PlanarTransformEstimate:
     acc = accumulate(pairs)
     if acc.a1 == 0.0 and acc.a3 == 0.0:
         raise DegenerateGeometry("feature pairs carry no rotation information")
-    ordered = _canonical(pairs)
+    rows = _rows(pairs)
     best: PlanarTransformEstimate | None = None
     best_key: tuple[float, float] | None = None
     best_terms: list[tuple[float, float]] = []
     for rot in rotation_candidates(acc):
-        terms = _terms(ordered, rot.sin_theta, rot.cos_theta)
+        terms = _terms(rows, rot.sin_theta, rot.cos_theta)
         try:
-            t_x, t_y = _solve_translation(ordered, terms)
+            t_x, t_y = _solve_translation(rows, terms)
         except DegenerateGeometry:
             continue
-        resid = _translation_residual(ordered, terms, t_x, t_y)
+        resid = _translation_residual(rows, terms, t_x, t_y)
         phi = math.atan2(rot.sin_theta, rot.cos_theta)
         key = (rot.residual + resid, phi)
         if best_key is None or key < best_key:
@@ -663,12 +661,12 @@ def estimate_pose(pairs: list[MatchedPair]) -> PlanarTransformEstimate:
         raise DegenerateGeometry("no multiplier root admits a unit-circle solution")
 
     rot, g = best.rotation, best.transform
-    delta = _gauss_newton_step(ordered, best_terms, rot.sin_theta, rot.cos_theta, g.t_x, g.t_y)
+    delta = _gauss_newton_step(rows, best_terms, rot.sin_theta, rot.cos_theta, g.t_x, g.t_y)
     if delta is None:
         return best
     phi, t_x, t_y = g.phi + delta[0], g.t_x + delta[1], g.t_y + delta[2]
     s, c = math.sin(phi), math.cos(phi)
-    resid = _translation_residual(ordered, _terms(ordered, s, c), t_x, t_y)
+    resid = _translation_residual(rows, _terms(rows, s, c), t_x, t_y)
     rot_rise = _rotation_cost_change(acc, rot.sin_theta, rot.cos_theta, s, c)
     if not (resid <= best.translation_residual and rot_rise <= 1e-12 * max(1.0, acc.a1 + acc.a3)):
         return best

@@ -14,6 +14,7 @@ from servopark.errors import (
 )
 from servopark.geometry import NormalizedFeature, wrap_angle
 from servopark.pose_estimator import (
+    MAX_FEATURES,
     MatchedPair,
     NormalAccumulators,
     RotationEstimate,
@@ -88,8 +89,9 @@ class TestAccumulate:
             accumulate(p)
 
     def test_matches_brute_force_bitwise(self, rng):
-        for _ in range(20):
-            g, pairs = random_scene(rng)
+        scenes = [random_scene(rng)[1] for _ in range(20)]
+        scenes.append(random_scene(rng, n_min=MAX_FEATURES, n_max=MAX_FEATURES)[1])
+        for pairs in scenes:
             acc = accumulate(pairs)
             # same canonical enumeration order the implementation promises
             ordered = sorted(pairs, key=lambda p: (p.ref.x, p.ref.y, p.cur.x, p.cur.y, p.X_star))
@@ -364,6 +366,74 @@ class TestEstimatePose:
             assert est.transform.phi == base.transform.phi
             assert est.transform.t_x == base.transform.t_x
             assert est.transform.t_y == base.transform.t_y
+
+    # float.hex of (phi, t_x, t_y), (sin, cos, lam, residual) and the
+    # translation residual, recorded before the pair loops were flattened;
+    # the scenes come from the conftest builders with fixed seeds
+    GOLDEN = {
+        "board_near_identity": (
+            ("0x1.0624dd2f1ab7dp-9", "0x1.a36e2eb1c4dc2p-14", "-0x1.a36e2eb1ccb72p-14"),
+            ("0x1.0624d1c83cdd7p-9", "0x1.ffffbce422edbp-1", "-0x1.893b2ddcc9af7p-32",
+             "-0x1.0000000000000p-49"),
+            "0x1.978c9be800000p-102",
+        ),
+        "generic_4": (
+            ("-0x1.8e4ba0d8d2ff7p-1", "-0x1.7a9ba99f93e6cp-9", "0x1.9fbcbde970c67p-2"),
+            ("-0x1.67524b60a13dfp-1", "0x1.6cbc52d8e77bap-1", "0x1.75847c10416d0p-44",
+             "0x0.0p+0"),
+            "0x1.91e8100000000p-101",
+        ),
+        "generic_24": (
+            ("-0x1.0b32cfb2621d0p-1", "0x1.c9799a7be4564p+0", "-0x1.3e22cc0fbe091p+0"),
+            ("-0x1.fe77cb5300b0ep-2", "0x1.bbd8ad17b93bap-1", "-0x1.466e47a0bc228p-43",
+             "0x1.0000000000000p-39"),
+            "0x1.6a00000000000p-96",
+        ),
+        "noisy_12": (
+            ("0x1.842313d1af2e7p-1", "0x1.6759a571f2b9ap+0", "0x1.44fefbb7d9a13p+0"),
+            ("0x1.6003bee90a973p-1", "0x1.73cae47278f03p-1", "-0x1.a9d96399ff93bp-3",
+             "0x1.29d741ca60000p-9"),
+            "0x1.8e7c55850b227p-5",
+        ),
+    }
+
+    @staticmethod
+    def _golden_scenes():
+        noise = np.random.default_rng(14)
+        sigma = 0.5 / 460.0  # 0.5 px on a 460 px focal length
+        _, base = random_scene(np.random.default_rng(13), n_min=12, n_max=12)
+        noisy = [
+            MatchedPair(
+                NormalizedFeature(p.cur.x + float(noise.normal(0.0, sigma)),
+                                  p.cur.y + float(noise.normal(0.0, sigma))),
+                p.ref,
+                p.X_star,
+            )
+            for p in base
+        ]
+        return {
+            "board_near_identity": board_scene(2e-3, 1e-4, -1e-4)[1],
+            "generic_4": random_scene(np.random.default_rng(11), n_min=4, n_max=4)[1],
+            "generic_24": random_scene(np.random.default_rng(12), n_min=24, n_max=24)[1],
+            "noisy_12": noisy,
+        }
+
+    def test_recorded_bits(self):
+        refused = 0
+        for name, pairs in self._golden_scenes().items():
+            est = estimate_pose(pairs)
+            g, r = est.transform, est.rotation
+            got = (
+                tuple(v.hex() for v in (g.phi, g.t_x, g.t_y)),
+                tuple(v.hex() for v in (r.sin_theta, r.cos_theta, r.lam, r.residual)),
+                est.translation_residual.hex(),
+            )
+            assert got == self.GOLDEN[name], name
+            if g.phi == math.atan2(r.sin_theta, r.cos_theta):
+                # a refused polish returns the seed's own least-squares translation
+                assert estimate_translation(pairs, r) == (g.t_x, g.t_y), name
+                refused += 1
+        assert refused >= 1  # the noisy scene exercises the refusal
 
     def test_residuals_reported(self, rng):
         g, pairs = random_scene(rng)
