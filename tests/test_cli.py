@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, file formats, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -229,6 +230,17 @@ class TestEstimateRoundTrip:
         _call(base + ["--seed", "4", "--out", str(c)])
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() != c.read_bytes()
+
+    def test_noisy_gen_recorded_bytes(self, tmp_path):
+        out = tmp_path / "pairs.csv"
+        rc, _, _ = _call([
+            "gen-pairs", "--theta", "0.2", "--tx", "0.1", "--ty", "-0.3",
+            "--noise-px", "0.5", "--seed", "3", "--out", str(out),
+        ])
+        assert rc == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "67e13bc3f3e24eb4e580dd76e825d957a62e3a5b8c8250382ee5525878c3e071"
+        )
 
 
 class TestCasesCommand:

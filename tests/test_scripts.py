@@ -1,0 +1,30 @@
+"""Smoke tests of the command-line scripts under scripts/."""
+
+import importlib.util
+import os
+
+import pytest
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(SCRIPTS, name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "name,argv,first_column",
+    [
+        ("noise_sweep", ["--sigmas", "0", "--trials", "5"], "sigma_px"),
+        ("terminal_cycle_sweep", ["--dts", "0.02"], "dt"),
+    ],
+)
+def test_script_runs(capsys, name, argv, first_column):
+    assert _load(name).main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[0] == first_column
+    assert set(lines[1]) == {"-"}
+    assert len(lines) == 3
