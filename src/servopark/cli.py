@@ -11,35 +11,20 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
-
-import numpy as np
+from dataclasses import asdict, fields, replace
+from typing import get_args, get_origin, get_type_hints
 
 from .closed_loop_sim import (
-    ConvergenceSpec,
-    GoalUpdate,
     PerceptionMode,
-    RunSummary,
     Scenario,
     TrajectorySample,
     case_scenarios,
-    default_object_features,
+    observations_at,
     run,
 )
-from .error_state import AnchorDepth
 from .errors import ConfigError, EstimatorStarvation, ServoparkError
-from .geometry import (
-    DEFAULT_INTRINSICS,
-    CameraIntrinsics,
-    FeaturePoint3,
-    NormalizedFeature,
-    Pose2,
-    normalize,
-    project,
-    transform_point,
-    PlanarTransform,
-)
-from .parking_controller import ControllerParams, TwistLimits
+from .geometry import NormalizedFeature, PlanarTransform
+from .parking_controller import TwistLimits
 from .pose_estimator import MatchedPair, estimate_pose
 
 SEED_ENV_VAR = "SERVOPARK_SEED"
@@ -54,32 +39,6 @@ PAIRS_HEADER = "x_cur,y_cur,x_ref,y_ref,X_star"
 
 def _fmt(x: float) -> str:
     return "%.17g" % x
-
-
-def _json_text(obj, indent: int = 0) -> str:
-    """Serialize with floats at 17 significant digits for exact round-trip."""
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{pad}  {json.dumps(k)}: {_json_text(v, indent + 1)}' for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, list):
-        if not obj:
-            return "[]"
-        items = [f"{pad}  {_json_text(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt(obj)
-    return json.dumps(obj)
 
 
 def write_traj_csv(path: str, samples: list[TrajectorySample]) -> None:
@@ -112,20 +71,6 @@ def write_traj_csv(path: str, samples: list[TrajectorySample]) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def summary_dict(summary: RunSummary) -> dict:
-    return {
-        "converged": summary.converged,
-        "t_converge": summary.t_converge,
-        "final_pos_err": summary.final_pos_err,
-        "final_ang_err": summary.final_ang_err,
-        "path_length": summary.path_length,
-        "max_abs_v": summary.max_abs_v,
-        "max_abs_omega": summary.max_abs_omega,
-        "peak_z0z1": summary.peak_z0z1,
-        "samples": summary.samples,
-    }
-
-
 def write_z0z1_csv(path: str, samples: list[TrajectorySample]) -> None:
     lines = ["t,z0z1"]
     for s in samples:
@@ -143,18 +88,6 @@ def _write_text(path: str, text: str) -> None:
 # scenario files (fail-closed JSON)
 
 
-def _expect_mapping(obj, path: str) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object")
-    return obj
-
-
-def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise ConfigError(f"{path}: unknown key '{unknown[0]}'")
-
-
 def _num(obj, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError(f"{path}: expected a number")
@@ -167,136 +100,59 @@ def _intval(obj, path: str) -> int:
     return obj
 
 
-def _parse_pose(obj, path: str) -> Pose2:
-    d = _expect_mapping(obj, path)
-    _check_keys(d, {"x", "y", "theta"}, path)
-    for k in ("x", "y", "theta"):
-        if k not in d:
-            raise ConfigError(f"{path}: missing key '{k}'")
-    return Pose2(_num(d["x"], f"{path}.x"), _num(d["y"], f"{path}.y"), _num(d["theta"], f"{path}.theta"))
+def _value(tp, obj, path: str):
+    """Parse one field value of type ``tp``."""
+    args = get_args(tp)
+    if type(None) in args:  # `X | None` accepts null
+        if obj is None:
+            return None
+        tp = args[0]
+    if tp is float:
+        return _num(obj, path)
+    if tp is int:
+        return _intval(obj, path)
+    if tp is str:
+        if not isinstance(obj, str):
+            raise ConfigError(f"{path}: expected a string")
+        return obj
+    if tp is PerceptionMode:
+        try:
+            return PerceptionMode(obj)
+        except ValueError:
+            values = sorted(m.value for m in PerceptionMode)
+            raise ConfigError(f"{path}: expected one of {values}, got {obj!r}") from None
+    if get_origin(tp) is tuple:
+        if not isinstance(obj, list):
+            raise ConfigError(f"{path}: expected a list")
+        return tuple(_record(args[0], item, f"{path}[{i}]") for i, item in enumerate(obj))
+    return _record(tp, obj, path)
 
 
-def _parse_feature(obj, path: str) -> FeaturePoint3:
-    d = _expect_mapping(obj, path)
-    keys = {"X_star", "Y_star", "Z_star"}
-    _check_keys(d, keys, path)
-    for k in keys:
-        if k not in d:
-            raise ConfigError(f"{path}: missing key '{k}'")
-    return FeaturePoint3(
-        _num(d["X_star"], f"{path}.X_star"),
-        _num(d["Y_star"], f"{path}.Y_star"),
-        _num(d["Z_star"], f"{path}.Z_star"),
-    )
+def _record(cls, obj, path: str, defaults: dict | None = None):
+    """Build the dataclass ``cls`` from a JSON object, field by field in declaration order.
 
-
-def _parse_required(obj, keys: tuple[str, ...], path: str) -> list[float]:
-    d = _expect_mapping(obj, path)
-    _check_keys(d, set(keys), path)
-    out = []
-    for k in keys:
-        if k not in d:
-            raise ConfigError(f"{path}: missing key '{k}'")
-        out.append(_num(d[k], f"{path}.{k}"))
-    return out
+    Unknown keys are rejected. Without ``defaults`` every field is required;
+    with it, an absent field takes its value from ``defaults`` or the class.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: expected an object")
+    names = [f.name for f in fields(cls)]
+    unknown = sorted(set(obj) - set(names))
+    if unknown:
+        raise ConfigError(f"{path}: unknown key '{unknown[0]}'")
+    if defaults is None:
+        for name in names:
+            if name not in obj:
+                raise ConfigError(f"{path}: missing key '{name}'")
+    types = get_type_hints(cls)
+    kwargs = dict(defaults or {})
+    kwargs.update((k, _value(types[k], obj[k], f"{path}.{k}")) for k in names if k in obj)
+    return cls(**kwargs)
 
 
 def scenario_from_dict(obj: dict, default_name: str = "unnamed") -> Scenario:
     """Build a Scenario from parsed JSON; unknown keys are rejected."""
-    top = _expect_mapping(obj, "scenario")
-    allowed = {
-        "name",
-        "initial_pose",
-        "goal_pose",
-        "object_features",
-        "intrinsics",
-        "controller",
-        "limits",
-        "dt",
-        "t_max",
-        "perception_mode",
-        "pixel_noise_sigma",
-        "rng_seed",
-        "convergence",
-        "anchor_index",
-        "goal_updates",
-    }
-    _check_keys(top, allowed, "scenario")
-    kwargs = {}
-    if "name" in top:
-        if not isinstance(top["name"], str):
-            raise ConfigError("scenario.name: expected a string")
-        kwargs["name"] = top["name"]
-    else:
-        kwargs["name"] = default_name
-    if "initial_pose" in top:
-        kwargs["initial_pose"] = _parse_pose(top["initial_pose"], "scenario.initial_pose")
-    if "goal_pose" in top:
-        kwargs["goal_pose"] = _parse_pose(top["goal_pose"], "scenario.goal_pose")
-    if "object_features" in top:
-        feats = top["object_features"]
-        if not isinstance(feats, list):
-            raise ConfigError("scenario.object_features: expected a list")
-        kwargs["object_features"] = tuple(
-            _parse_feature(f, f"scenario.object_features[{i}]") for i, f in enumerate(feats)
-        )
-    if "intrinsics" in top:
-        vals = _parse_required(
-            top["intrinsics"],
-            ("f_x", "f_y", "c_x", "c_y", "width", "height", "min_depth"),
-            "scenario.intrinsics",
-        )
-        kwargs["intrinsics"] = CameraIntrinsics(
-            vals[0], vals[1], vals[2], vals[3], int(vals[4]), int(vals[5]), vals[6]
-        )
-    if "controller" in top:
-        vals = _parse_required(
-            top["controller"], ("kappa0", "kappa2", "epsilon", "xi", "delta"), "scenario.controller"
-        )
-        kwargs["controller"] = ControllerParams(*vals)
-    if "limits" in top and top["limits"] is not None:
-        vals = _parse_required(top["limits"], ("v_max", "omega_max"), "scenario.limits")
-        kwargs["limits"] = TwistLimits(*vals)
-    if "dt" in top:
-        kwargs["dt"] = _num(top["dt"], "scenario.dt")
-    if "t_max" in top:
-        kwargs["t_max"] = _num(top["t_max"], "scenario.t_max")
-    if "perception_mode" in top:
-        mode = top["perception_mode"]
-        values = {m.value: m for m in PerceptionMode}
-        if mode not in values:
-            raise ConfigError(
-                f"scenario.perception_mode: expected one of {sorted(values)}, got {mode!r}"
-            )
-        kwargs["perception_mode"] = values[mode]
-    if "pixel_noise_sigma" in top:
-        kwargs["pixel_noise_sigma"] = _num(top["pixel_noise_sigma"], "scenario.pixel_noise_sigma")
-    if "rng_seed" in top:
-        kwargs["rng_seed"] = _intval(top["rng_seed"], "scenario.rng_seed")
-    if "convergence" in top:
-        vals = _parse_required(top["convergence"], ("pos_tol", "ang_tol"), "scenario.convergence")
-        kwargs["convergence"] = ConvergenceSpec(*vals)
-    if "anchor_index" in top and top["anchor_index"] is not None:
-        kwargs["anchor_index"] = _intval(top["anchor_index"], "scenario.anchor_index")
-    if "goal_updates" in top:
-        ups = top["goal_updates"]
-        if not isinstance(ups, list):
-            raise ConfigError("scenario.goal_updates: expected a list")
-        parsed = []
-        for i, u in enumerate(ups):
-            d = _expect_mapping(u, f"scenario.goal_updates[{i}]")
-            _check_keys(d, {"t", "goal_pose"}, f"scenario.goal_updates[{i}]")
-            for k in ("t", "goal_pose"):
-                if k not in d:
-                    raise ConfigError(f"scenario.goal_updates[{i}]: missing key '{k}'")
-            parsed.append(
-                GoalUpdate(
-                    _num(d["t"], f"scenario.goal_updates[{i}].t"),
-                    _parse_pose(d["goal_pose"], f"scenario.goal_updates[{i}].goal_pose"),
-                )
-            )
-        kwargs["goal_updates"] = tuple(parsed)
-    return Scenario(**kwargs)
+    return _record(Scenario, obj, "scenario", defaults={"name": default_name})
 
 
 def load_scenario(path: str) -> Scenario:
@@ -382,8 +238,7 @@ def _apply_overrides(args, scenario: Scenario) -> Scenario:
     if args.t_max is not None:
         scenario = replace(scenario, t_max=args.t_max)
     if getattr(args, "perception", None) is not None:
-        values = {m.value: m for m in PerceptionMode}
-        scenario = replace(scenario, perception_mode=values[args.perception])
+        scenario = replace(scenario, perception_mode=PerceptionMode(args.perception))
     if args.noise_px is not None:
         scenario = replace(scenario, pixel_noise_sigma=args.noise_px)
     if getattr(args, "v_max", None) is not None or getattr(args, "omega_max", None) is not None:
@@ -398,7 +253,7 @@ def _emit_run(out_dir: str, scenario: Scenario, plot: bool):
     samples, summary = run(scenario)
     base = os.path.join(out_dir, scenario.name)
     write_traj_csv(base + "_traj.csv", samples)
-    _write_text(base + "_summary.json", _json_text(summary_dict(summary)))
+    _write_text(base + "_summary.json", json.dumps(asdict(summary), indent=2))
     if plot:
         write_z0z1_csv(base + "_z0z1.csv", samples)
     return summary
@@ -447,10 +302,10 @@ def cmd_cases(args) -> int:
                 all_converged = False
                 continue
             entry = {"status": "converged" if summary.converged else "not_converged"}
-            entry.update(summary_dict(summary))
+            entry.update(asdict(summary))
             report[name][mode.value] = entry
             all_converged = all_converged and summary.converged
-    _write_text(os.path.join(args.out, "cases_summary.json"), _json_text(report))
+    _write_text(os.path.join(args.out, "cases_summary.json"), json.dumps(report, indent=2))
     print(f"cases: all_converged={str(all_converged).lower()} (details in cases_summary.json)")
     if all_converged:
         return 0
@@ -469,37 +324,13 @@ def cmd_estimate(args) -> int:
         "lambda": est.rotation.lam,
         "pairs_used": len(pairs),
     }
-    print(_json_text(out))
+    print(json.dumps(out, indent=2))
     return 0
 
 
 def cmd_gen_pairs(args) -> int:
-    g = PlanarTransform(args.theta, args.tx, args.ty)
-    features = default_object_features()
-    seed = 0
-    if args.seed is not None:
-        seed = args.seed
-    elif os.environ.get(SEED_ENV_VAR) is not None:
-        try:
-            seed = int(os.environ[SEED_ENV_VAR])
-        except ValueError:
-            raise ConfigError(
-                f"{SEED_ENV_VAR}: expected an integer, got {os.environ[SEED_ENV_VAR]!r}"
-            )
-    noise = None
-    if args.noise_px > 0.0:
-        rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0])
-        noise = rng.normal(0.0, args.noise_px, size=(len(features), 2))
-    pairs = []
-    for i, f in enumerate(features):
-        pixel = project(transform_point(g, f), DEFAULT_INTRINSICS)
-        if pixel is None:
-            continue
-        if noise is not None:
-            pixel = (pixel[0] + noise[i, 0], pixel[1] + noise[i, 1])
-        cur = normalize(pixel, DEFAULT_INTRINSICS)
-        ref = NormalizedFeature(f.Y_star / f.X_star, f.Z_star / f.X_star)
-        pairs.append(MatchedPair(cur, ref, f.X_star))
+    scenario = _resolve_seed(args, Scenario(pixel_noise_sigma=args.noise_px))
+    pairs = observations_at(PlanarTransform(args.theta, args.tx, args.ty), scenario)
     if len(pairs) < 2:
         print("gen-pairs: fewer than 2 features visible for this pose", file=sys.stderr)
         return 1

@@ -40,6 +40,7 @@ from .geometry import (
     CameraIntrinsics,
     FeaturePoint3,
     NormalizedFeature,
+    PlanarTransform,
     Pose2,
     normalize,
     project,
@@ -219,16 +220,21 @@ def generate_observations(
     step: int = 0,
     goal: Pose2 | None = None,
 ) -> list[MatchedPair]:
-    """Project the object features into the robot camera, with optional noise.
+    """Observations of the object at ``goal`` (default: the scenario's) from ``robot``."""
+    return observations_at(
+        relative_transform(robot, scenario.goal_pose if goal is None else goal), scenario, step
+    )
 
-    Noise draws are indexed by feature position in the scenario list, so a
-    feature's perturbation does not depend on which other features happen to
-    be visible.  Features whose noisy vertical coordinate collapses below
-    the estimator tolerance are dropped as unusable measurements.
+
+def observations_at(g: PlanarTransform, scenario: Scenario, step: int = 0) -> list[MatchedPair]:
+    """Project the object features through the goal-to-camera map ``g``, with optional noise.
+
+    Noise draws are keyed by (seed, step) and indexed by feature position in
+    the scenario list, so a feature's perturbation does not depend on which
+    other features happen to be visible.  Features whose noisy vertical
+    coordinate collapses below the estimator tolerance are dropped as
+    unusable measurements.
     """
-    if goal is None:
-        goal = scenario.goal_pose
-    g = relative_transform(robot, goal)
     K = scenario.intrinsics
     noise = None
     if scenario.pixel_noise_sigma > 0.0:
@@ -278,7 +284,7 @@ def run(scenario: Scenario) -> tuple[list[TrajectorySample], RunSummary]:
 
     pose = scenario.initial_pose
     goal = scenario.goal_pose
-    held_twist = BodyTwist(0.0, 0.0)
+    twist = BodyTwist(0.0, 0.0)  # held through starved steps
     estimated = scenario.perception_mode is PerceptionMode.ESTIMATED
     samples: list[TrajectorySample] = []
     next_update = 0
@@ -294,11 +300,11 @@ def run(scenario: Scenario) -> tuple[list[TrajectorySample], RunSummary]:
         g_true = relative_transform(pose, goal)
         z_true = to_chained(error_from_transform(g_true, anchor))
 
-        if not estimated:
-            visible = len(scenario.object_features)
-            est_angle_err = est_trans_err = math.nan
-            z_ctrl = z_true
-        else:
+        visible = len(scenario.object_features)
+        est_angle_err = est_trans_err = math.nan
+        z_ctrl = z_true
+        starved = False
+        if estimated:
             obs = generate_observations(pose, scenario, step=k, goal=goal)
             visible = len(obs)
             est = None
@@ -307,65 +313,40 @@ def run(scenario: Scenario) -> tuple[list[TrajectorySample], RunSummary]:
                     est = estimate_pose(obs)
                 except (DegenerateGeometry, NumericalFailure):
                     est = None  # visible but uninformative (e.g. one vertical line)
-            if est is None:
+            starved = est is None
+            if starved:
                 starve_streak += 1
                 if starve_streak * scenario.dt > STARVATION_LIMIT_SECONDS:
                     raise EstimatorStarvation(
                         f"no usable pose estimate for "
                         f"{starve_streak * scenario.dt:.2f} s at t = {t:.2f} s"
                     )
-                sample = TrajectorySample(
-                    t,
-                    pose,
-                    z_true,
-                    held_twist,
-                    ChainedInput(math.nan, math.nan),
-                    _HELD,
-                    _HELD,
-                    in_invariant_set(z_true, gains, scenario.controller),
-                    math.nan,
-                    math.nan,
-                    visible,
+            else:
+                starve_streak = 0
+                z_ctrl = to_chained(error_from_transform(est.transform, anchor))
+                est_angle_err = abs(wrap_angle(est.transform.phi - g_true.phi))
+                est_trans_err = math.hypot(
+                    est.transform.t_x - g_true.t_x, est.transform.t_y - g_true.t_y
                 )
-                samples.append(sample)
-                streak = streak + 1 if _sample_in_tolerance(sample, scenario.convergence, z_scale) else 0
-                if streak >= window:
-                    break
-                if k == n_steps:
-                    break
-                pose = integrate_unicycle(pose, held_twist, scenario.dt)
-                continue
-            starve_streak = 0
-            z_ctrl = to_chained(error_from_transform(est.transform, anchor))
-            est_angle_err = abs(wrap_angle(est.transform.phi - g_true.phi))
-            est_trans_err = math.hypot(
-                est.transform.t_x - g_true.t_x, est.transform.t_y - g_true.t_y
-            )
 
-        twist, decision = controller_step(
-            z_ctrl, gains, scenario.controller, scenario.limits, anchor, scenario.dt
-        )
+        if starved:  # keep the previous twist; no law is evaluated
+            u, u0_branch, u1_branch = ChainedInput(math.nan, math.nan), _HELD, _HELD
+            in_gamma = in_invariant_set(z_true, gains, scenario.controller)
+        else:
+            twist, decision = controller_step(
+                z_ctrl, gains, scenario.controller, scenario.limits, anchor, scenario.dt
+            )
+            u, in_gamma = decision.u, decision.in_gamma
+            u0_branch, u1_branch = decision.u0_branch.value, decision.u1_branch.value
         sample = TrajectorySample(
-            t,
-            pose,
-            z_true,
-            twist,
-            decision.u,
-            decision.u0_branch.value,
-            decision.u1_branch.value,
-            decision.in_gamma,
-            est_angle_err,
-            est_trans_err,
-            visible,
+            t, pose, z_true, twist, u, u0_branch, u1_branch, in_gamma,
+            est_angle_err, est_trans_err, visible,
         )
         samples.append(sample)
         streak = streak + 1 if _sample_in_tolerance(sample, scenario.convergence, z_scale) else 0
-        if streak >= window:
-            break
-        if k == n_steps:
+        if streak >= window or k == n_steps:
             break
         pose = integrate_unicycle(pose, twist, scenario.dt)
-        held_twist = twist
 
     return samples, summarize(samples, scenario)
 

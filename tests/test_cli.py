@@ -124,6 +124,16 @@ class TestRunCommand:
         assert rc == 1
         assert "goal_updates[0]" in err
 
+    def test_summary_keeps_float_types(self, tmp_path):
+        rc, _, _ = _call(["run", "--case", "case3", "--out", str(tmp_path)])
+        assert rc == 0
+        summary = json.loads((tmp_path / "case3_summary.json").read_text())
+        assert summary["final_ang_err"] == 0.0
+        assert summary["max_abs_v"] == 1.0
+        assert type(summary["final_ang_err"]) is float
+        assert type(summary["max_abs_v"]) is float
+        assert type(summary["samples"]) is int
+
 
 class TestDeterminism:
     def _run_once(self, tmp_path, sub, seed_args, env=None):
@@ -241,6 +251,13 @@ class TestEstimateRoundTrip:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "67e13bc3f3e24eb4e580dd76e825d957a62e3a5b8c8250382ee5525878c3e071"
         )
+
+    def test_negative_noise_rejected(self, tmp_path):
+        out = tmp_path / "pairs.csv"
+        rc, _, err = _call(["gen-pairs", "--noise-px", "-1", "--out", str(out)])
+        assert rc == 1
+        assert "pixel_noise_sigma must be nonnegative" in err
+        assert not out.exists()
 
 
 class TestCasesCommand:

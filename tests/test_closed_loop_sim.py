@@ -16,6 +16,7 @@ from servopark.closed_loop_sim import (
     default_object_features,
     generate_observations,
     integrate_unicycle,
+    observations_at,
     pose_for_chained_state,
     run,
     summarize,
@@ -144,6 +145,16 @@ class TestGenerateObservations:
         blind = CameraIntrinsics(460.0, 460.0, -5000.0, 240.0, 640, 480, 0.1)
         sc = self._scenario(intrinsics=blind)
         assert generate_observations(sc.initial_pose, sc) == []
+
+    def test_observations_at_the_relative_transform(self):
+        sc = self._scenario(pixel_noise_sigma=0.5, rng_seed=42)
+        moved = Pose2(6.0, 4.0, 0.2)
+        g = relative_transform(sc.initial_pose, moved)
+        assert generate_observations(sc.initial_pose, sc, step=3, goal=moved) == observations_at(
+            g, sc, step=3
+        )
+        g = relative_transform(sc.initial_pose, sc.goal_pose)
+        assert generate_observations(sc.initial_pose, sc) == observations_at(g, sc)
 
 
 class TestRunBasics:

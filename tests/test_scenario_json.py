@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -149,3 +151,36 @@ def test_readme_example_parses():
         anchor_index=None,
         goal_updates=(GoalUpdate(10.0, Pose2(6.0, 4.5, 0.2)),),
     )
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "3"])
+def test_missing_key_is_first_in_declaration_order(hash_seed):
+    code = (
+        "from servopark.cli import scenario_from_dict\n"
+        "try:\n"
+        "    scenario_from_dict({'object_features': [{'X_star': 3.0}]})\n"
+        "except Exception as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "scenario.object_features[0]: missing key 'Y_star'"
+
+
+@pytest.mark.parametrize("key", ["width", "height"])
+@pytest.mark.parametrize("value", [640.7, 640.0, "640", True])
+def test_image_size_must_be_an_integer(key, value):
+    with pytest.raises(ConfigError) as info:
+        scenario_from_dict({"intrinsics": dict(INTR, **{key: value})})
+    assert str(info.value) == f"scenario.intrinsics.{key}: expected an integer"
+
+
+def test_unhashable_perception_mode_is_a_config_error():
+    with pytest.raises(ConfigError) as info:
+        scenario_from_dict({"perception_mode": ["estimated"]})
+    assert str(info.value).startswith("scenario.perception_mode: expected one of")
