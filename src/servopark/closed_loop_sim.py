@@ -339,8 +339,17 @@ def run(scenario: Scenario) -> tuple[list[TrajectorySample], RunSummary]:
             u, in_gamma = decision.u, decision.in_gamma
             u0_branch, u1_branch = decision.u0_branch.value, decision.u1_branch.value
         sample = TrajectorySample(
-            t, pose, z_true, twist, u, u0_branch, u1_branch, in_gamma,
-            est_angle_err, est_trans_err, visible,
+            t,
+            pose,
+            z_true,
+            twist,
+            u,
+            u0_branch,
+            u1_branch,
+            in_gamma,
+            est_angle_err,
+            est_trans_err,
+            visible,
         )
         samples.append(sample)
         streak = streak + 1 if _sample_in_tolerance(sample, scenario.convergence, z_scale) else 0

@@ -105,7 +105,10 @@ DIAGNOSTICS = [
         "scenario.goal_updates[0].goal_pose.theta: expected a number",
     ),
     (
-        {"goal_updates": [{"t": 1.0, "goal_pose": POSE}, {"t": 2.0, "goal_pose": {"x": 0.0, "y": 0.0}}]},
+        {"goal_updates": [
+            {"t": 1.0, "goal_pose": POSE},
+            {"t": 2.0, "goal_pose": {"x": 0.0, "y": 0.0}},
+        ]},
         "scenario.goal_updates[1].goal_pose: missing key 'theta'",
     ),
 ]
