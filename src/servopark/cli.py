@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, fields, replace
@@ -192,6 +193,9 @@ def load_pairs_csv(path: str) -> list[MatchedPair]:
             vals = [float(f) for f in fields]
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+        for name, v in zip(PAIRS_HEADER.split(","), vals):
+            if not math.isfinite(v):
+                raise ConfigError(f"{path}:{lineno}: {name} is not finite")
         try:
             pairs.append(
                 MatchedPair(
@@ -392,9 +396,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ServoparkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -114,10 +114,10 @@ def _rows(pairs: list[MatchedPair]) -> list[_Row]:
     return [(p.cur.x, p.cur.y, p.ref.x, p.ref.y, p.X_star, p.ref.y / p.cur.y) for p in ordered]
 
 
-def accumulate(pairs: list[MatchedPair], max_features: int = MAX_FEATURES) -> NormalAccumulators:
+def accumulate(pairs: list[MatchedPair]) -> NormalAccumulators:
     """Accumulate the normal sums over all unordered pairs in canonical order."""
-    if len(pairs) > max_features:
-        raise InvalidParams(f"more than {max_features} features; refusing to subsample")
+    if len(pairs) > MAX_FEATURES:
+        raise InvalidParams(f"more than {MAX_FEATURES} features; refusing to subsample")
     if len(pairs) < 2:
         raise InsufficientFeatures("at least two matched features are required")
     rows = _rows(pairs)
@@ -177,20 +177,18 @@ def _real_cubic_roots(b: float, c: float, d: float) -> list[float]:
     return [2.0 * r * math.cos(ang - 2.0 * math.pi * k / 3.0) + shift for k in range(3)]
 
 
-def _quadratic_roots(b: float, c: float, rescue_band: float = 0.0) -> list[float]:
+def _quadratic_roots(b: float, c: float) -> list[float]:
     """Real roots of y^2 + b y + c, clamping marginally negative discriminants.
 
     A double root computed through upstream cancellation can surface with a
-    discriminant several orders below zero; rescue_band widens the clamp to
-    that relative level and returns the vertex -b/2 alone.  Callers opting in
-    must be able to reject a vertex that turns out not to be a root.
+    discriminant several orders below zero.  Down to -1e-7 relative, the
+    vertex -b/2 is returned alone; callers must be able to reject a vertex
+    that turns out not to be a root.
     """
     disc = b * b - 4.0 * c
-    tol = 1e-12 * max(1.0, b * b, abs(c))
-    if disc < -tol:
-        if rescue_band > 0.0 and disc >= -rescue_band * max(1.0, b * b, abs(c)):
-            return [-b / 2.0]
-        return []
+    scale = max(1.0, b * b, abs(c))
+    if disc < -1e-12 * scale:
+        return [-b / 2.0] if disc >= -1e-7 * scale else []
     if disc < 0.0:
         disc = 0.0
     s = math.sqrt(disc)
@@ -210,18 +208,23 @@ def solve_quartic(c1: float, c2: float, c3: float, c4: float) -> list[float]:
 
     Resolvent-cubic factorization into two quadratics, then a guarded Newton
     polish on the original quartic.  Each returned root satisfies
-    |p(l)| < 1e-9 * max(1, |c4|, terms of p at l); anything worse raises
-    NumericalFailure.  The per-root terms enter the bar because evaluating a
-    quartic at a root of magnitude L carries a rounding floor near eps * L^4,
-    which exceeds any fixed absolute tolerance once L is large; a root is
-    accepted when its residual is small relative to that floor (backward
-    stability), which reduces to the absolute bar for small roots.
+    |p(l)| < 1e-9 * max(1, |c4|, terms of p at l).  The per-root terms enter
+    the bar because evaluating a quartic at a root of magnitude L carries a
+    rounding floor near eps * L^4, which exceeds any fixed absolute tolerance
+    once L is large; a root is accepted when its residual is small relative
+    to that floor (backward stability), which reduces to the absolute bar
+    for small roots.
 
-    A near-double real pair can surface from the factorization with a
-    marginally negative discriminant.  Its vertex is kept as a speculative
-    seed: polished like the others, accepted only if it meets the same
-    residual bar, and dropped silently otherwise (the pair may genuinely be
-    complex, which is not an error).
+    Seeds come from the factorization, including the vertex of a quadratic
+    factor whose discriminant is marginally negative, and a seed from a
+    non-negative discriminant need not be a real root: under a large shift
+    a near-real complex pair can surface with a small positive one.  So a
+    polished point that misses the bar is judged by the sign of p at
+    l -+ h, h = 1e-5 * max(1, |l|).  A sign change (or a NaN) with no
+    accepted root within h means a real root was missed, and
+    NumericalFailure is raised.  Otherwise the point is dropped: it is the
+    near-real vertex of a complex pair, or a Newton run from such a vertex
+    that was still closing on a root another seed found.
     """
     a3, a2, a1, a0 = 2.0 * c1, c2, 2.0 * c3, c4
 
@@ -237,21 +240,16 @@ def solve_quartic(c1: float, c2: float, c3: float, c4: float) -> list[float]:
     r = a0 - a3 * a1 / 4.0 + a3 * a3 * a2 / 16.0 - 3.0 * a3 ** 4 / 256.0
     scale = max(1.0, abs(p), abs(q), abs(r))
 
-    seeds: list[tuple[float, bool]] = []  # (y, must_converge)
+    seeds: list[float] = []
     if abs(q) <= 1e-14 * scale:
-        # biquadratic: z^2 + p z + r with z = y^2
-        zs = _quadratic_roots(p, r)
-        mandatory = True
-        if not zs:
-            zs = _quadratic_roots(p, r, rescue_band=1e-7)
-            mandatory = False
-        for z in zs:
-            ztol = 1e-12 * max(1.0, abs(p), abs(r))
+        # biquadratic: z^2 + p z + r with z = y^2; z scales like sqrt|r|
+        ztol = 1e-12 * max(1.0, abs(p), math.sqrt(abs(r)))
+        for z in _quadratic_roots(p, r):
             if z > ztol:
                 s = math.sqrt(z)
-                seeds.extend([(s, mandatory), (-s, mandatory)])
+                seeds.extend([s, -s])
             elif z >= -ztol:
-                seeds.append((0.0, mandatory))
+                seeds.append(0.0)
     else:
         # any positive root of the resolvent works; take the largest real one
         ms = _real_cubic_roots(p, p * p / 4.0 - r, -q * q / 8.0)
@@ -260,14 +258,8 @@ def solve_quartic(c1: float, c2: float, c3: float, c4: float) -> list[float]:
             raise NumericalFailure("resolvent cubic produced no positive root")
         s = math.sqrt(2.0 * m)
         half = p / 2.0 + m
-        for bq, cq in ((s, half - q / (2.0 * s)), (-s, half + q / (2.0 * s))):
-            ys = _quadratic_roots(bq, cq)
-            if ys:
-                seeds.extend((y, True) for y in ys)
-            else:
-                seeds.extend(
-                    (y, False) for y in _quadratic_roots(bq, cq, rescue_band=1e-7)
-                )
+        seeds.extend(_quadratic_roots(s, half - q / (2.0 * s)))
+        seeds.extend(_quadratic_roots(-s, half + q / (2.0 * s)))
 
     shift = -a3 / 4.0
 
@@ -277,8 +269,8 @@ def solve_quartic(c1: float, c2: float, c3: float, c4: float) -> list[float]:
             1.0, abs(a0), x2 * x2, abs(a3 * x2 * x), abs(a2 * x2), abs(a1 * x)
         )
 
-    polished: list[tuple[float, float, bool]] = []
-    for y, mandatory in seeds:
+    polished: list[tuple[float, float]] = []
+    for y in seeds:
         x = y + shift
         px = poly(x)  # carried across iterations: each point is evaluated once
         best, best_val = x, abs(px)
@@ -296,29 +288,33 @@ def solve_quartic(c1: float, c2: float, c3: float, c4: float) -> list[float]:
             if x_next == x:
                 break
             x = x_next
-        polished.append((best, best_val, mandatory))
+        polished.append((best, best_val))
 
     # a double root yields two polish copies of uneven quality: cluster first,
     # keep each cluster's best, and only then judge it
     polished.sort()
     roots: list[float] = []
+    stalls: list[tuple[float, float]] = []
     idx = 0
     while idx < len(polished):
-        x, val, mandatory = polished[idx]
+        x, val = polished[idx]
         end = idx + 1
         while (
             end < len(polished)
             and abs(polished[end][0] - x) <= 1e-8 * max(1.0, abs(polished[end][0]))
         ):
             if polished[end][1] < val:
-                x, val = polished[end][0], polished[end][1]
-            mandatory = mandatory or polished[end][2]
+                x, val = polished[end]
             end = end + 1
         if val < tol_at(x):
             roots.append(x)
-        elif mandatory:
-            raise NumericalFailure(f"root refinement stalled at |p| = {val:.3e}")
+        else:
+            stalls.append((x, val))
         idx = end
+    for x, val in stalls:
+        h = 1e-5 * max(1.0, abs(x))
+        if not poly(x - h) * poly(x + h) > 0.0 and not any(abs(x - y) <= h for y in roots):
+            raise NumericalFailure(f"root refinement stalled at |p| = {val:.3e}")
     return roots
 
 
@@ -451,10 +447,7 @@ def _singular_candidates(acc: NormalAccumulators, lam: float) -> list[tuple[floa
         # near tangency the discriminant sits at the noise floor, so rescue the
         # vertex and let the caller's circle-distance filter judge it
         dot = w0[0] * v[0] + w0[1] * v[1]
-        ts = _quadratic_roots(
-            2.0 * dot, w0[0] ** 2 + w0[1] ** 2 - 1.0, rescue_band=1e-7
-        )
-        for t in ts:
+        for t in _quadratic_roots(2.0 * dot, w0[0] ** 2 + w0[1] ** 2 - 1.0):
             cands.append((w0[0] + t * v[0], w0[1] + t * v[1]))
     if not null_dirs:
         cands.append((w0[0], w0[1]))
@@ -527,8 +520,6 @@ def _terms(rows: list[_Row], s: float, c: float) -> list[tuple[float, float]]:
 
 def translation_terms(p: MatchedPair, r: RotationEstimate) -> tuple[float, float]:
     """Per-feature right-hand sides of the translation least squares."""
-    if abs(p.cur.y) < Y_TOL or abs(p.ref.y) < Y_TOL:
-        raise DegenerateFeature("vertical normalized coordinate too close to zero")
     return _terms(_rows([p]), r.sin_theta, r.cos_theta)[0]
 
 

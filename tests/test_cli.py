@@ -9,10 +9,11 @@ import os
 
 import pytest
 
+from servopark import cli
 from servopark.cli import main
-from servopark.closed_loop_sim import pose_for_chained_state
+from servopark.closed_loop_sim import Scenario, pose_for_chained_state
 from servopark.error_state import AnchorDepth, ChainedState
-from servopark.geometry import Pose2
+from servopark.geometry import CameraIntrinsics, Pose2
 
 TRAJ_HEADER = (
     "t,x,y,theta,z0,z1,z2,v,omega,u0,u1,u0_branch,u1_branch,in_gamma,"
@@ -42,6 +43,10 @@ def _corridor_config(tmp_path, **extra):
     path = tmp_path / "corridor.json"
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+# two usable rows of a pairs file, header included
+_PAIRS_OK = "x_cur,y_cur,x_ref,y_ref,X_star\n0.1,0.2,0.1,0.2,3\n-0.3,0.25,-0.3,0.25,2\n"
 
 
 class TestRunCommand:
@@ -222,6 +227,26 @@ class TestEstimateRoundTrip:
         assert rc == 1
         assert ":3:" in err
 
+    @pytest.mark.parametrize(
+        "text, where, message",
+        [
+            ("", "1", "empty file"),
+            ("x,y,z\n0.1,0.2,0.1,0.2,3\n", "1", "expected header"),
+            ("x_cur,y_cur,x_ref,y_ref,X_star\n0.1,0.2,0.1,0.2\n", "2",
+             "expected 5 comma-separated fields, got 4"),
+            (_PAIRS_OK + "0.05,-0.4,0.05,-0.4,inf\n", "4", "X_star is not finite"),
+            (_PAIRS_OK + "nan,-0.4,0.05,-0.4,4\n", "4", "x_cur is not finite"),
+            (_PAIRS_OK + "0.05,-0.4,0.05,-inf,4\n", "4", "y_ref is not finite"),
+        ],
+        ids=["empty", "header", "field_count", "inf", "nan", "minus_inf"],
+    )
+    def test_pairs_file_diagnostic(self, tmp_path, text, where, message):
+        path = tmp_path / "pairs.csv"
+        path.write_text(text)
+        rc, out, err = _call(["estimate", "--pairs", str(path)])
+        assert (rc, out) == (1, "")
+        assert err.startswith(f"error: {path}:{where}: {message}")
+
     def test_degenerate_pairs_reported(self, tmp_path):
         stacked = tmp_path / "stacked.csv"
         stacked.write_text(
@@ -276,3 +301,29 @@ class TestCasesCommand:
             assert set(case) == {"ground_truth", "estimated"}
             for entry in case.values():
                 assert entry["status"] in {"converged", "not_converged", "starved"}
+
+    @pytest.mark.parametrize("with_blind, code", [(True, 3), (False, 0)])
+    def test_starved_case_exit_codes(self, tmp_path, monkeypatch, with_blind, code):
+        # a camera whose principal point lies far off the image never sees the board
+        blind = Scenario(
+            name="blind",
+            initial_pose=Pose2(-1.0, 0.3, 0.0),
+            t_max=8.0,
+            intrinsics=CameraIntrinsics(460.0, 460.0, -5000.0, 240.0, 640, 480, 0.1),
+        )
+        cases = {"home": Scenario(name="home")}  # starts at the goal
+        if with_blind:
+            cases["blind"] = blind
+        monkeypatch.setattr(cli, "case_scenarios", lambda: cases)
+        rc, out, _ = _call(["cases", "--out", str(tmp_path)])
+        assert rc == code
+        converged = str(code == 0).lower()
+        assert out == f"cases: all_converged={converged} (details in cases_summary.json)\n"
+        summary = json.loads((tmp_path / "cases_summary.json").read_text())
+        assert [e["status"] for e in summary["home"].values()] == ["converged", "converged"]
+        if with_blind:
+            assert summary["blind"]["ground_truth"]["status"] == "not_converged"
+            assert summary["blind"]["estimated"] == {
+                "status": "starved",
+                "error": "no usable pose estimate for 5.01 s at t = 5.00 s",
+            }

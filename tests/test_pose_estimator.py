@@ -11,6 +11,7 @@ from servopark.errors import (
     DegenerateGeometry,
     InsufficientFeatures,
     InvalidParams,
+    NumericalFailure,
 )
 from servopark.geometry import NormalizedFeature, wrap_angle
 from servopark.pose_estimator import (
@@ -190,6 +191,38 @@ class TestSolveQuartic:
                 assert a == pytest.approx(b, abs=1e-6, rel=1e-6)
             checked += 1
         assert checked > 200
+
+    @pytest.mark.parametrize(
+        "c",
+        [
+            # a noisy 24-feature scene's multiplier quartic: real roots -255.49
+            # and -0.00976, and the pair -0.15590 +- 9.8e-6 i, which the shift
+            # of ~64 makes look real to the factorization
+            (127.90749816537783, 82.18686630876164, 3.4940586379379965, 0.06063427313881675),
+            # the pair -1.52144 +- 1.6e-4 i: Newton from its vertex ends short
+            # of the real root 0.10316, which another seed finds
+            (1.452869698247281, 1.9009744035549847, -0.15339766610818764, 0.008115846069172343),
+        ],
+        ids=["shifted_pair", "stall_near_found_root"],
+    )
+    def test_near_real_complex_pair_dropped(self, c):
+        ref = np.roots([1.0, 2.0 * c[0], c[1], 2.0 * c[2], c[3]])
+        real_ref = sorted(r.real for r in ref if r.imag == 0.0)
+        assert len(real_ref) == 2
+        assert solve_quartic(*c) == pytest.approx(real_ref, rel=1e-12)
+
+    def test_biquadratic_large_constant(self):
+        # z = l^2 scales like sqrt|c4|, so the roots of z must not be clamped to 0
+        assert solve_quartic(0.0, 0.0, 0.0, -1e30) == pytest.approx(
+            [-(10.0 ** 7.5), 10.0 ** 7.5], rel=1e-15
+        )
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_nan_coefficient_raises(self, k):
+        c = [-0.5, -7.0, 0.5, 6.0]
+        c[k] = math.nan
+        with pytest.raises(NumericalFailure):
+            solve_quartic(*c)
 
 
 class TestEstimateRotation:
