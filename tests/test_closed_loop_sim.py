@@ -31,7 +31,9 @@ from servopark.error_state import (
 )
 from servopark.errors import EmptyLog, EstimatorStarvation, InvalidParams
 from servopark.geometry import (
+    Y_TOL,
     CameraIntrinsics,
+    FeaturePoint3,
     Pose2,
     relative_transform,
     wrap_angle,
@@ -146,6 +148,16 @@ class TestGenerateObservations:
         sc = self._scenario(intrinsics=blind)
         assert generate_observations(sc.initial_pose, sc) == []
 
+    def test_feature_on_the_optical_plane_is_dropped(self):
+        # |Z/X| below Y_TOL in both views: the pair constraint would divide by it
+        flat = FeaturePoint3(3.0, 0.2, 1e-13)
+        assert abs(flat.Z_star / flat.X_star) < Y_TOL
+        board = default_object_features()
+        sc = self._scenario(initial_pose=Pose2(5.0, 5.0, 0.0), object_features=board + (flat,))
+        pairs = generate_observations(sc.initial_pose, sc)
+        assert [p.X_star for p in pairs] == [f.X_star for f in board]
+        assert [p.ref.x for p in pairs] == [f.Y_star / f.X_star for f in board]
+
     def test_observations_at_the_relative_transform(self):
         sc = self._scenario(pixel_noise_sigma=0.5, rng_seed=42)
         moved = Pose2(6.0, 4.0, 0.2)
@@ -217,6 +229,49 @@ class TestRunBasics:
         )
         with pytest.raises(EstimatorStarvation):
             run(sc)
+
+
+class TestCallShapes:
+    # The per-layer timings wrap these names in the closed_loop_sim namespace;
+    # a run that reaches a layer by another route would drop its metric.
+    TRACED = (
+        "generate_observations",
+        "estimate_pose",
+        "controller_step",
+        "relative_transform",
+        "project",
+        "transform_point",
+        "normalize",
+        "error_from_transform",
+        "to_chained",
+        "integrate_unicycle",
+        "summarize",
+    )
+
+    def test_estimated_run_reaches_every_traced_layer(self, monkeypatch):
+        import servopark.closed_loop_sim as sim
+
+        calls = dict.fromkeys(self.TRACED, 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in self.TRACED:
+            monkeypatch.setattr(sim, name, counting(name, getattr(sim, name)))
+        sc = corridor_scenario(perception_mode=PerceptionMode.ESTIMATED, t_max=0.5)
+        samples, _ = run(sc)
+        n = len(samples)
+        assert n == 51
+        assert all(count > 0 for count in calls.values()), calls
+        assert calls["generate_observations"] == n
+        assert calls["estimate_pose"] == n
+        assert calls["controller_step"] == n
+        assert calls["integrate_unicycle"] == n - 1
+        assert calls["summarize"] == 1
 
 
 class TestFrameShiftInvariance:
