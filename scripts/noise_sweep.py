@@ -57,14 +57,14 @@ def main(argv=None):
                 pixel_noise_sigma=sigma,
                 rng_seed=trial,
             )
-            pairs = generate_observations(pose, sc, step=trial)
+            truth = relative_transform(pose, goal)
+            pairs = generate_observations(truth, sc, step=trial)
             if len(pairs) < 4:
                 continue
             try:
                 est = estimate_pose(pairs)
             except Exception:
                 continue
-            truth = relative_transform(pose, goal)
             ang_errs.append(abs(wrap_angle(est.transform.phi - truth.phi)))
             trans_errs.append(
                 math.hypot(est.transform.t_x - truth.t_x, est.transform.t_y - truth.t_y)

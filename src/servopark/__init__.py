@@ -16,7 +16,6 @@ from .closed_loop_sim import (
     default_object_features,
     generate_observations,
     integrate_unicycle,
-    observations_at,
     pose_for_chained_state,
     run,
     summarize,

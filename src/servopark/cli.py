@@ -20,7 +20,7 @@ from .closed_loop_sim import (
     Scenario,
     TrajectorySample,
     case_scenarios,
-    observations_at,
+    generate_observations,
     run,
 )
 from .errors import ConfigError, EstimatorStarvation, ServoparkError
@@ -92,7 +92,13 @@ def _write_text(path: str, text: str) -> None:
 def _num(obj, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError(f"{path}: expected a number")
-    return float(obj)
+    try:
+        x = float(obj)
+    except OverflowError:  # an integer literal beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{path}: expected a finite number")
+    return x
 
 
 def _intval(obj, path: str) -> int:
@@ -160,7 +166,7 @@ def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as f:
             obj = json.load(f)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
@@ -176,7 +182,7 @@ def load_pairs_csv(path: str) -> list[MatchedPair]:
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = f.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read pairs file: {exc}") from exc
     if not lines:
         raise ConfigError(f"{path}:1: empty file, expected header '{PAIRS_HEADER}'")
@@ -225,7 +231,7 @@ def write_pairs_csv(path: str, pairs: list[MatchedPair]) -> None:
 
 def _resolve_seed(args, scenario: Scenario) -> Scenario:
     """Seed precedence: --seed, then SERVOPARK_SEED, then the scenario value."""
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return replace(scenario, rng_seed=args.seed)
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
@@ -334,7 +340,9 @@ def cmd_estimate(args) -> int:
 
 def cmd_gen_pairs(args) -> int:
     scenario = _resolve_seed(args, Scenario(pixel_noise_sigma=args.noise_px))
-    pairs = observations_at(PlanarTransform(args.theta, args.tx, args.ty), scenario)
+    if not all(map(math.isfinite, (args.theta, args.tx, args.ty))):
+        raise ConfigError("--theta, --tx and --ty must be finite")
+    pairs = generate_observations(PlanarTransform(args.theta, args.tx, args.ty), scenario)
     if len(pairs) < 2:
         print("gen-pairs: fewer than 2 features visible for this pose", file=sys.stderr)
         return 1
@@ -396,7 +404,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ServoparkError as exc:
+    except (ServoparkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -28,15 +28,16 @@ from .error_state import (
     to_chained,
 )
 from .errors import (
+    DegenerateFeature,
     DegenerateGeometry,
     EmptyLog,
     EstimatorStarvation,
+    InsufficientFeatures,
     InvalidParams,
     NumericalFailure,
 )
 from .geometry import (
     DEFAULT_INTRINSICS,
-    Y_TOL,
     CameraIntrinsics,
     FeaturePoint3,
     NormalizedFeature,
@@ -131,8 +132,12 @@ class Scenario:
             raise InvalidParams("dt must be positive")
         if not self.t_max > self.dt:
             raise InvalidParams("t_max must exceed dt")
+        if not math.isfinite(self.t_max):
+            raise InvalidParams("t_max must be finite")
         if not self.pixel_noise_sigma >= 0.0:
             raise InvalidParams("pixel_noise_sigma must be nonnegative")
+        if not math.isfinite(self.pixel_noise_sigma):
+            raise InvalidParams("pixel_noise_sigma must be finite")
         if len(self.object_features) == 0:
             raise InvalidParams("at least one object feature is required")
         if self.perception_mode is PerceptionMode.ESTIMATED and len(self.object_features) < 2:
@@ -215,25 +220,15 @@ def pose_for_chained_state(z: ChainedState, anchor: AnchorDepth, goal: Pose2) ->
 
 
 def generate_observations(
-    robot: Pose2,
-    scenario: Scenario,
-    step: int = 0,
-    goal: Pose2 | None = None,
+    g: PlanarTransform, scenario: Scenario, step: int = 0
 ) -> list[MatchedPair]:
-    """Observations of the object at ``goal`` (default: the scenario's) from ``robot``."""
-    return observations_at(
-        relative_transform(robot, scenario.goal_pose if goal is None else goal), scenario, step
-    )
-
-
-def observations_at(g: PlanarTransform, scenario: Scenario, step: int = 0) -> list[MatchedPair]:
     """Project the object features through the goal-to-camera map ``g``, with optional noise.
 
     Noise draws are keyed by (seed, step) and indexed by feature position in
     the scenario list, so a feature's perturbation does not depend on which
-    other features happen to be visible.  Features whose noisy vertical
-    coordinate collapses below the estimator tolerance are dropped as
-    unusable measurements.
+    other features happen to be visible.  A feature that MatchedPair refuses
+    (its noisy vertical coordinate collapses below the estimator tolerance)
+    is dropped as an unusable measurement.
     """
     K = scenario.intrinsics
     noise = None
@@ -247,11 +242,11 @@ def observations_at(g: PlanarTransform, scenario: Scenario, step: int = 0) -> li
             continue
         if noise is not None:
             pixel = (pixel[0] + noise[i, 0], pixel[1] + noise[i, 1])
-        cur = normalize(pixel, K)
         ref = NormalizedFeature(f.Y_star / f.X_star, f.Z_star / f.X_star)
-        if abs(cur.y) < Y_TOL or abs(ref.y) < Y_TOL:
+        try:
+            pairs.append(MatchedPair(normalize(pixel, K), ref, f.X_star))
+        except DegenerateFeature:
             continue
-        pairs.append(MatchedPair(cur, ref, f.X_star))
     return pairs
 
 
@@ -272,8 +267,8 @@ def run(scenario: Scenario) -> tuple[list[TrajectorySample], RunSummary]:
     Convergence is declared at the first sample completing one second of
     consecutive in-tolerance, quiet-twist samples, judged on the true state
     and the commanded (post-clamp) twist.  In estimated mode a sample with
-    fewer than two visible features holds the previous twist; a starvation
-    streak longer than the limit aborts the run.
+    no usable estimate holds the previous twist; a starvation streak longer
+    than the limit aborts the run.
     """
     gains = compute_gains(scenario.controller)
     anchor = scenario.anchor()
@@ -305,14 +300,12 @@ def run(scenario: Scenario) -> tuple[list[TrajectorySample], RunSummary]:
         z_ctrl = z_true
         starved = False
         if estimated:
-            obs = generate_observations(pose, scenario, step=k, goal=goal)
+            obs = generate_observations(g_true, scenario, step=k)
             visible = len(obs)
-            est = None
-            if visible >= 2:
-                try:
-                    est = estimate_pose(obs)
-                except (DegenerateGeometry, NumericalFailure):
-                    est = None  # visible but uninformative (e.g. one vertical line)
+            try:
+                est = estimate_pose(obs)
+            except (InsufficientFeatures, DegenerateGeometry, NumericalFailure):
+                est = None  # too few features, or visible but uninformative
             starved = est is None
             if starved:
                 starve_streak += 1
@@ -404,35 +397,28 @@ def summarize(samples: list[TrajectorySample], scenario: Scenario) -> RunSummary
 
 def case_scenarios() -> dict[str, Scenario]:
     """The four built-in parking cases (ground-truth perception defaults)."""
-    unlimited = dict(
-        controller=PROPOSED_PARAMS,
-        dt=0.01,
-        t_max=200.0,
-    )
-    limited = dict(unlimited, limits=TwistLimits(1.0, 1.0))
+    limited = TwistLimits(1.0, 1.0)
     return {
         "case1": Scenario(
             name="case1",
             initial_pose=Pose2(0.0, 0.0, math.pi / 6.0),
             goal_pose=Pose2(5.0, 5.0, 0.0),
-            **unlimited,
         ),
         "case2": Scenario(
             name="case2",
             initial_pose=Pose2(0.0, 0.0, math.pi / 4.0),
             goal_pose=Pose2(5.0, 5.0, 0.0),
-            **unlimited,
         ),
         "case3": Scenario(
             name="case3",
             initial_pose=Pose2(5.0, 5.0, math.pi / 6.0),
             goal_pose=Pose2(16.0, 6.0, math.pi / 6.0),
-            **limited,
+            limits=limited,
         ),
         "case4": Scenario(
             name="case4",
             initial_pose=Pose2(5.0, 5.0, 0.0),
             goal_pose=Pose2(16.0, 6.0, math.pi / 6.0),
-            **limited,
+            limits=limited,
         ),
     }

@@ -30,7 +30,7 @@ class NumericalFailure(ServoparkError):
 
 
 class EstimatorStarvation(ServoparkError):
-    """Fewer than two features stayed visible for too long during a closed-loop run."""
+    """A closed-loop run went too long without a usable pose estimate."""
 
 
 class EmptyLog(ServoparkError):

@@ -285,6 +285,63 @@ class TestEstimateRoundTrip:
         assert not out.exists()
 
 
+class TestBoundaryRefusals:
+    """Bad numbers and unusable paths end in one `error:` line and exit 1."""
+
+    @pytest.mark.parametrize(
+        "scenario, argv, message",
+        [
+            ('{"t_max": Infinity}', ["run"], "scenario.t_max: expected a finite number"),
+            ('{"dt": -Infinity}', ["run"], "scenario.dt: expected a finite number"),
+            ('{"pixel_noise_sigma": 1e400}', ["run"],
+             "scenario.pixel_noise_sigma: expected a finite number"),
+            ('{"t_max": 1' + "0" * 400 + "}", ["run"], "scenario.t_max: expected a finite number"),
+            ('{"initial_pose": {"x": NaN, "y": 0, "theta": 0}}', ["run"],
+             "scenario.initial_pose.x: expected a finite number"),
+            (None, ["run", "--case", "case1", "--t-max", "inf"], "t_max must be finite"),
+            (None, ["run", "--case", "case1", "--noise-px", "inf"],
+             "pixel_noise_sigma must be finite"),
+            (None, ["gen-pairs", "--noise-px", "inf"], "pixel_noise_sigma must be finite"),
+            (None, ["gen-pairs", "--theta", "inf"], "--theta, --tx and --ty must be finite"),
+            (None, ["gen-pairs", "--ty", "nan"], "--theta, --tx and --ty must be finite"),
+        ],
+        ids=[
+            "json_inf", "json_minus_inf", "json_overflow", "json_huge_int", "json_nan",
+            "run_t_max", "run_noise", "gen_noise", "gen_theta", "gen_ty",
+        ],
+    )
+    def test_non_finite_number_refused(self, tmp_path, scenario, argv, message):
+        out = tmp_path / "out"
+        if scenario is not None:
+            cfg = tmp_path / "s.json"
+            cfg.write_text(scenario)
+            argv = argv + ["--config", str(cfg)]
+        rc, stdout, err = _call(argv + ["--out", str(out)])
+        assert (rc, stdout, err) == (1, "", f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--config", "{bytes}", "--out", "{dir}/out"], "cannot read scenario file: "),
+            (["estimate", "--pairs", "{bytes}"], "cannot read pairs file: "),
+            (["run", "--case", "case1", "--out", "{file}"], "[Errno 17] File exists"),
+            (["cases", "--out", "{file}"], "[Errno 17] File exists"),
+            (["gen-pairs", "--out", "{dir}/missing/pairs.csv"], "[Errno 2] No such file"),
+        ],
+        ids=["scenario_not_utf8", "pairs_not_utf8", "run_out_is_file", "cases_out_is_file",
+             "gen_pairs_no_dir"],
+    )
+    def test_io_failure_reported(self, tmp_path, argv, message):
+        (tmp_path / "latin1").write_bytes("x_cur,\u00e9\n".encode("latin-1"))
+        (tmp_path / "file").write_text("")
+        names = {"bytes": tmp_path / "latin1", "file": tmp_path / "file", "dir": tmp_path}
+        rc, stdout, err = _call([arg.format(**names) for arg in argv])
+        assert (rc, stdout) == (1, "")
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
+
+
 class TestCasesCommand:
     def test_writes_all_modes(self, tmp_path):
         rc, out, _ = _call(["cases", "--out", str(tmp_path), "--t-max", "6"])

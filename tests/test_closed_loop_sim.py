@@ -16,7 +16,6 @@ from servopark.closed_loop_sim import (
     default_object_features,
     generate_observations,
     integrate_unicycle,
-    observations_at,
     pose_for_chained_state,
     run,
     summarize,
@@ -114,9 +113,12 @@ class TestGenerateObservations:
         base.update(kw)
         return Scenario(**base)
 
+    def _observe(self, sc, step=0):
+        return generate_observations(relative_transform(sc.initial_pose, sc.goal_pose), sc, step)
+
     def test_noise_free_pairs_recover_transform(self):
         sc = self._scenario()
-        pairs = generate_observations(sc.initial_pose, sc)
+        pairs = self._observe(sc)
         assert len(pairs) >= 4
         est = estimate_pose(pairs)
         truth = relative_transform(sc.initial_pose, sc.goal_pose)
@@ -126,27 +128,25 @@ class TestGenerateObservations:
 
     def test_same_seed_same_pixels(self):
         sc = self._scenario(pixel_noise_sigma=0.5, rng_seed=42)
-        a = generate_observations(sc.initial_pose, sc, step=7)
-        b = generate_observations(sc.initial_pose, sc, step=7)
+        a = self._observe(sc, step=7)
+        b = self._observe(sc, step=7)
         assert a == b
 
     def test_step_decorrelates_noise(self):
         sc = self._scenario(pixel_noise_sigma=0.5, rng_seed=42)
-        a = generate_observations(sc.initial_pose, sc, step=7)
-        b = generate_observations(sc.initial_pose, sc, step=8)
+        a = self._observe(sc, step=7)
+        b = self._observe(sc, step=8)
         assert a != b
 
     def test_zero_noise_skips_rng(self):
         sc1 = self._scenario(pixel_noise_sigma=0.0, rng_seed=1)
         sc2 = self._scenario(pixel_noise_sigma=0.0, rng_seed=2)
-        assert generate_observations(sc1.initial_pose, sc1) == generate_observations(
-            sc2.initial_pose, sc2
-        )
+        assert self._observe(sc1) == self._observe(sc2)
 
     def test_invisible_features_are_dropped(self):
         blind = CameraIntrinsics(460.0, 460.0, -5000.0, 240.0, 640, 480, 0.1)
         sc = self._scenario(intrinsics=blind)
-        assert generate_observations(sc.initial_pose, sc) == []
+        assert self._observe(sc) == []
 
     def test_feature_on_the_optical_plane_is_dropped(self):
         # |Z/X| below Y_TOL in both views: the pair constraint would divide by it
@@ -154,19 +154,9 @@ class TestGenerateObservations:
         assert abs(flat.Z_star / flat.X_star) < Y_TOL
         board = default_object_features()
         sc = self._scenario(initial_pose=Pose2(5.0, 5.0, 0.0), object_features=board + (flat,))
-        pairs = generate_observations(sc.initial_pose, sc)
+        pairs = self._observe(sc)
         assert [p.X_star for p in pairs] == [f.X_star for f in board]
         assert [p.ref.x for p in pairs] == [f.Y_star / f.X_star for f in board]
-
-    def test_observations_at_the_relative_transform(self):
-        sc = self._scenario(pixel_noise_sigma=0.5, rng_seed=42)
-        moved = Pose2(6.0, 4.0, 0.2)
-        g = relative_transform(sc.initial_pose, moved)
-        assert generate_observations(sc.initial_pose, sc, step=3, goal=moved) == observations_at(
-            g, sc, step=3
-        )
-        g = relative_transform(sc.initial_pose, sc.goal_pose)
-        assert generate_observations(sc.initial_pose, sc) == observations_at(g, sc)
 
 
 class TestRunBasics:
@@ -268,6 +258,7 @@ class TestCallShapes:
         assert n == 51
         assert all(count > 0 for count in calls.values()), calls
         assert calls["generate_observations"] == n
+        assert calls["relative_transform"] == n
         assert calls["estimate_pose"] == n
         assert calls["controller_step"] == n
         assert calls["integrate_unicycle"] == n - 1
