@@ -13,6 +13,8 @@ import math
 import os
 import sys
 from dataclasses import asdict, fields, replace
+from itertools import chain
+from operator import attrgetter
 from typing import get_args, get_origin, get_type_hints
 
 from .closed_loop_sim import (
@@ -30,59 +32,63 @@ from .pose_estimator import MatchedPair, estimate_pose
 
 SEED_ENV_VAR = "SERVOPARK_SEED"
 
-TRAJ_HEADER = (
-    "t,x,y,theta,z0,z1,z2,v,omega,u0,u1,"
-    "u0_branch,u1_branch,in_gamma,est_angle_err,est_trans_err,visible_count"
+# One row per column of <name>_traj.csv, in file order: header name,
+# TrajectorySample attribute path, printf format.
+TRAJ_COLUMNS = (
+    ("t", "t", "%.17g"),
+    ("x", "pose.x", "%.17g"),
+    ("y", "pose.y", "%.17g"),
+    ("theta", "pose.theta", "%.17g"),
+    ("z0", "z.z0", "%.17g"),
+    ("z1", "z.z1", "%.17g"),
+    ("z2", "z.z2", "%.17g"),
+    ("v", "twist.v", "%.17g"),
+    ("omega", "twist.omega", "%.17g"),
+    ("u0", "u.u0", "%.17g"),
+    ("u1", "u.u1", "%.17g"),
+    ("u0_branch", "u0_branch", "%s"),
+    ("u1_branch", "u1_branch", "%s"),
+    ("in_gamma", "in_gamma", "%d"),
+    ("est_angle_err", "est_angle_err", "%.17g"),
+    ("est_trans_err", "est_trans_err", "%.17g"),
+    ("visible_count", "visible_count", "%d"),
 )
 
-PAIRS_HEADER = "x_cur,y_cur,x_ref,y_ref,X_star"
+# the same for a pairs file, one MatchedPair per row
+PAIRS_COLUMNS = (
+    ("x_cur", "cur.x", "%.17g"),
+    ("y_cur", "cur.y", "%.17g"),
+    ("x_ref", "ref.x", "%.17g"),
+    ("y_ref", "ref.y", "%.17g"),
+    ("X_star", "X_star", "%.17g"),
+)
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
+def _layout(columns):
+    """Header line, row template and row-values getter of a column table."""
+    names, paths, formats = zip(*columns)
+    return ",".join(names), ",".join(formats), attrgetter(*paths)
+
+
+TRAJ_HEADER, _TRAJ_ROW, _traj_values = _layout(TRAJ_COLUMNS)
+PAIRS_HEADER, _PAIRS_ROW, _pairs_values = _layout(PAIRS_COLUMNS)
+
+
+def _write_lines(path: str, lines) -> None:
+    """Stream ``lines`` (a JSON document is one) to ``path`` as UTF-8, each ended by LF."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        for line in lines:
+            f.write(line)
+            f.write("\n")
 
 
 def write_traj_csv(path: str, samples: list[TrajectorySample]) -> None:
-    lines = [TRAJ_HEADER]
-    for s in samples:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(s.t),
-                    _fmt(s.pose.x),
-                    _fmt(s.pose.y),
-                    _fmt(s.pose.theta),
-                    _fmt(s.z.z0),
-                    _fmt(s.z.z1),
-                    _fmt(s.z.z2),
-                    _fmt(s.twist.v),
-                    _fmt(s.twist.omega),
-                    _fmt(s.u.u0),
-                    _fmt(s.u.u1),
-                    s.u0_branch,
-                    s.u1_branch,
-                    "1" if s.in_gamma else "0",
-                    _fmt(s.est_angle_err),
-                    _fmt(s.est_trans_err),
-                    str(s.visible_count),
-                ]
-            )
-        )
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_lines(path, chain((TRAJ_HEADER,), (_TRAJ_ROW % _traj_values(s) for s in samples)))
 
 
 def write_z0z1_csv(path: str, samples: list[TrajectorySample]) -> None:
-    lines = ["t,z0z1"]
-    for s in samples:
-        lines.append(f"{_fmt(s.t)},{_fmt(abs(s.z.z0) + abs(s.z.z1))}")
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(text + "\n")
+    rows = ("%.17g,%.17g" % (s.t, abs(s.z.z0) + abs(s.z.z1)) for s in samples)
+    _write_lines(path, chain(("t,z0z1",), rows))
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +168,20 @@ def scenario_from_dict(obj: dict, default_name: str = "unnamed") -> Scenario:
     return _record(Scenario, obj, "scenario", defaults={"name": default_name})
 
 
-def load_scenario(path: str) -> Scenario:
+def _read_text(path: str, kind: str) -> str:
+    """The file's UTF-8 text; a file that cannot be read or decoded is a ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            obj = json.load(f)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read scenario file: {exc}") from exc
+            return f.read()
+    except OSError as exc:  # the message already names the file
+        raise ConfigError(f"cannot read {kind} file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {kind} file: {path}: {exc}") from exc
+
+
+def load_scenario(path: str) -> Scenario:
+    try:
+        obj = json.loads(_read_text(path, "scenario"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
     stem = os.path.splitext(os.path.basename(path))[0]
@@ -179,11 +193,7 @@ def load_scenario(path: str) -> Scenario:
 
 
 def load_pairs_csv(path: str) -> list[MatchedPair]:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            lines = f.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read pairs file: {exc}") from exc
+    lines = _read_text(path, "pairs").splitlines()
     if not lines:
         raise ConfigError(f"{path}:1: empty file, expected header '{PAIRS_HEADER}'")
     if lines[0].strip() != PAIRS_HEADER:
@@ -216,13 +226,7 @@ def load_pairs_csv(path: str) -> list[MatchedPair]:
 
 
 def write_pairs_csv(path: str, pairs: list[MatchedPair]) -> None:
-    lines = [PAIRS_HEADER]
-    for p in pairs:
-        lines.append(
-            ",".join([_fmt(p.cur.x), _fmt(p.cur.y), _fmt(p.ref.x), _fmt(p.ref.y), _fmt(p.X_star)])
-        )
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_lines(path, chain((PAIRS_HEADER,), (_PAIRS_ROW % _pairs_values(p) for p in pairs)))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +267,7 @@ def _emit_run(out_dir: str, scenario: Scenario, plot: bool):
     samples, summary = run(scenario)
     base = os.path.join(out_dir, scenario.name)
     write_traj_csv(base + "_traj.csv", samples)
-    _write_text(base + "_summary.json", json.dumps(asdict(summary), indent=2))
+    _write_lines(base + "_summary.json", [json.dumps(asdict(summary), indent=2)])
     if plot:
         write_z0z1_csv(base + "_z0z1.csv", samples)
     return summary
@@ -288,7 +292,7 @@ def cmd_run(args) -> int:
         print(f"run: estimator starvation: {exc}", file=sys.stderr)
         return 3
     status = "converged" if summary.converged else "not converged"
-    print(f"{scenario.name}: {status} (final_pos_err={_fmt(summary.final_pos_err)} m)")
+    print(f"{scenario.name}: {status} (final_pos_err={summary.final_pos_err:.17g} m)")
     return 0 if summary.converged else 2
 
 
@@ -315,7 +319,7 @@ def cmd_cases(args) -> int:
             entry.update(asdict(summary))
             report[name][mode.value] = entry
             all_converged = all_converged and summary.converged
-    _write_text(os.path.join(args.out, "cases_summary.json"), json.dumps(report, indent=2))
+    _write_lines(os.path.join(args.out, "cases_summary.json"), [json.dumps(report, indent=2)])
     print(f"cases: all_converged={str(all_converged).lower()} (details in cases_summary.json)")
     if all_converged:
         return 0

@@ -99,7 +99,6 @@ class ControlDecision:
     u0_branch: U0Branch
     u1_branch: U1Branch
     in_gamma: bool
-    V_value: float
 
 
 @dataclass(frozen=True)
@@ -159,41 +158,30 @@ def lyapunov_V(z: ChainedState, g: ControllerGains, p: ControllerParams) -> floa
     return g.P1 * z.z1 * z.z1 - 2.0 * g.P2 * z.z1 * w + g.P3 * w * w
 
 
-def in_invariant_set(
-    z: ChainedState, g: ControllerGains, p: ControllerParams, V: float | None = None
-) -> bool:
+def in_invariant_set(z: ChainedState, g: ControllerGains, p: ControllerParams) -> bool:
     """Membership in Gamma: V below a |kappa0 z0|^(2 epsilon) threshold.
 
     The published |z0| + |z1| = 0 clause is replaced by the deadband test,
     since at z0 = 0 the threshold itself is zero and strict inequality can
-    never admit the origin.  ``V`` is lyapunov_V(z, g, p) when the caller
-    already has it.
+    never admit the origin.
     """
-    if V is None:
-        V = lyapunov_V(z, g, p)
-    if V < p.delta * abs(p.kappa0 * z.z0) ** (2.0 * p.epsilon):
+    if lyapunov_V(z, g, p) < p.delta * abs(p.kappa0 * z.z0) ** (2.0 * p.epsilon):
         return True
     return abs(z.z0) <= EPS_STATE and abs(z.z1) <= EPS_STATE
 
 
 def control_u0(
-    z: ChainedState,
-    g: ControllerGains,
-    p: ControllerParams,
-    dt: float = 0.0,
-    in_gamma: bool | None = None,
+    z: ChainedState, in_gamma: bool, g: ControllerGains, p: ControllerParams, dt: float = 0.0
 ):
     """First chained input and the branch that produced it.
 
     Branch order matters: the deadband cube-root test runs before the
-    invariant-set test, which runs before the ratio law.  ``dt`` is the
-    hold time of the cube-root law (0 for the continuous-time law), and
-    ``in_gamma`` is in_invariant_set(z, g, p) when the caller already has it.
+    invariant-set test, which runs before the ratio law.  ``in_gamma`` is
+    in_invariant_set(z, g, p), and ``dt`` is the hold time of the cube-root
+    law (0 for the continuous-time law).
     """
     if abs(z.z1) <= EPS_STATE and abs(z.z2) <= EPS_STATE:
         return -implicit_cbrt(z.z0, dt), U0Branch.CUBE_ROOT
-    if in_gamma is None:
-        in_gamma = in_invariant_set(z, g, p)
     if in_gamma:
         return -p.kappa0 * z.z0, U0Branch.IN_GAMMA
     psi = z.z2 if abs(z.z2) > EPS_STATE else _sign(z.z0 * z.z1)
@@ -223,12 +211,9 @@ def step(
 
     ``dt`` is the zero-order-hold time the twist will be applied for; it
     selects the sampled-data cube root (0 gives the continuous-time law).
-    V is evaluated once and serves both the invariant-set test and the
-    returned decision.
     """
-    V = lyapunov_V(z, g, p)
-    in_gamma = in_invariant_set(z, g, p, V)
-    u0, b0 = control_u0(z, g, p, dt, in_gamma)
+    in_gamma = in_invariant_set(z, g, p)
+    u0, b0 = control_u0(z, in_gamma, g, p, dt)
     u1, b1 = control_u1(z, u0, g, p, dt)
     u = ChainedInput(u0, u1)
     twist = inputs_to_twist(u, z, anchor)
@@ -237,5 +222,5 @@ def step(
             min(limits.v_max, max(-limits.v_max, twist.v)),
             min(limits.omega_max, max(-limits.omega_max, twist.omega)),
         )
-    decision = ControlDecision(u, b0, b1, in_gamma, V)
+    decision = ControlDecision(u, b0, b1, in_gamma)
     return twist, decision

@@ -237,8 +237,12 @@ class TestEstimateRoundTrip:
             (_PAIRS_OK + "0.05,-0.4,0.05,-0.4,inf\n", "4", "X_star is not finite"),
             (_PAIRS_OK + "nan,-0.4,0.05,-0.4,4\n", "4", "x_cur is not finite"),
             (_PAIRS_OK + "0.05,-0.4,0.05,-inf,4\n", "4", "y_ref is not finite"),
+            (_PAIRS_OK + "0.05,0,0.05,-0.4,4\n", "4",
+             "vertical normalized coordinate too close to zero"),
+            (_PAIRS_OK + "0.05,-0.4,0.05,-0.4,0\n", "4", "reference depth must be positive"),
         ],
-        ids=["empty", "header", "field_count", "inf", "nan", "minus_inf"],
+        ids=["empty", "header", "field_count", "inf", "nan", "minus_inf", "y_cur_zero",
+             "X_star_zero"],
     )
     def test_pairs_file_diagnostic(self, tmp_path, text, where, message):
         path = tmp_path / "pairs.csv"
@@ -246,6 +250,24 @@ class TestEstimateRoundTrip:
         rc, out, err = _call(["estimate", "--pairs", str(path)])
         assert (rc, out) == (1, "")
         assert err.startswith(f"error: {path}:{where}: {message}")
+
+    def test_blank_lines_skipped(self, tmp_path):
+        dense, sparse = tmp_path / "dense.csv", tmp_path / "sparse.csv"
+        row = "0.05,-0.4,0.05,-0.4,4\n"
+        dense.write_text(_PAIRS_OK + row)
+        sparse.write_text(_PAIRS_OK.replace("X_star\n", "X_star\n\n") + "  \n" + row + "\n")
+        rc, out, err = _call(["estimate", "--pairs", str(sparse)])
+        assert (rc, out, err) == _call(["estimate", "--pairs", str(dense)])
+        assert rc == 0
+        assert json.loads(out)["pairs_used"] == 3
+
+    def test_gen_pairs_too_few_visible(self, tmp_path):
+        # turned away from the board, the camera sees none of its features
+        out = tmp_path / "pairs.csv"
+        rc, stdout, err = _call(["gen-pairs", "--theta", "3", "--out", str(out)])
+        assert (rc, stdout) == (1, "")
+        assert err == "gen-pairs: fewer than 2 features visible for this pose\n"
+        assert not out.exists()
 
     def test_degenerate_pairs_reported(self, tmp_path):
         stacked = tmp_path / "stacked.csv"
@@ -340,6 +362,63 @@ class TestBoundaryRefusals:
         assert (rc, stdout) == (1, "")
         assert err.startswith(f"error: {message}")
         assert err.count("\n") == 1
+
+
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [
+            (["run", "--config", "{path}", "--out", "{out}"], "scenario"),
+            (["estimate", "--pairs", "{path}"], "pairs"),
+        ],
+        ids=["scenario", "pairs"],
+    )
+    def test_not_utf8_names_the_file(self, tmp_path, argv, kind):
+        path = tmp_path / "utf16.txt"
+        path.write_bytes(b"\xff\xfe{}")
+        rc, stdout, err = _call([arg.format(path=path, out=tmp_path / "out") for arg in argv])
+        assert (rc, stdout) == (1, "")
+        assert err.startswith(f"error: cannot read {kind} file: {path}: 'utf-8' codec can't decode")
+        assert not (tmp_path / "out").exists()
+
+
+class TestOverrides:
+    """Flags and the seed variable that change the scenario a run uses."""
+
+    def _rows(self, path):
+        return [row.split(",") for row in path.read_text().splitlines()[1:]]
+
+    def test_dt_override(self, tmp_path):
+        rc, _, _ = _call(
+            ["run", "--case", "case1", "--dt", "0.02", "--t-max", "2", "--out", str(tmp_path)]
+        )
+        assert rc == 2
+        rows = self._rows(tmp_path / "case1_traj.csv")
+        assert len(rows) == 101  # 2 s at dt 0.02
+        assert [float(r[0]) for r in rows[:2]] == [0.0, 0.02]
+
+    def test_twist_limits_override(self, tmp_path):
+        rc, _, _ = _call([
+            "run", "--case", "case1", "--v-max", "0.3", "--omega-max", "0.05",
+            "--t-max", "2", "--out", str(tmp_path),
+        ])
+        assert rc == 2
+        rows = self._rows(tmp_path / "case1_traj.csv")
+        assert max(abs(float(r[7])) for r in rows) == 0.3
+        assert max(abs(float(r[8])) for r in rows) == 0.05
+
+    @pytest.mark.parametrize("flag", ["--v-max", "--omega-max"])
+    def test_one_twist_limit_alone_refused(self, tmp_path, flag):
+        out = tmp_path / "out"
+        rc, stdout, err = _call(["run", "--case", "case1", flag, "1", "--out", str(out)])
+        assert (rc, stdout, err) == (1, "", "error: --v-max and --omega-max must be given together\n")
+        assert not out.exists()
+
+    def test_non_integer_seed_variable_refused(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SERVOPARK_SEED", "7.5")
+        out = tmp_path / "out"
+        rc, stdout, err = _call(["run", "--case", "case1", "--out", str(out)])
+        assert (rc, stdout, err) == (1, "", "error: SERVOPARK_SEED: expected an integer, got '7.5'\n")
+        assert not out.exists()
 
 
 class TestCasesCommand:

@@ -33,12 +33,13 @@ from servopark.geometry import (
     Y_TOL,
     CameraIntrinsics,
     FeaturePoint3,
+    NormalizedFeature,
     Pose2,
     relative_transform,
     wrap_angle,
 )
-from servopark.parking_controller import PROPOSED_PARAMS
-from servopark.pose_estimator import estimate_pose
+from servopark.parking_controller import PROPOSED_PARAMS, TwistLimits
+from servopark.pose_estimator import MatchedPair, estimate_pose
 
 CORRIDOR_GOAL = Pose2(1.0, 2.0, 0.3)
 
@@ -387,6 +388,49 @@ class TestScenarioValidation:
     def test_bad_anchor_index(self):
         with pytest.raises(InvalidParams):
             Scenario(goal_pose=Pose2(1, 1, 0), anchor_index=99)
+
+    def test_anchor_index_selects_the_feature(self):
+        # without an index the anchor is the feature of largest |Z_star| (0.6)
+        sc = Scenario(initial_pose=Pose2(-1.0, 0.3, 0.1), anchor_index=3, t_max=0.02)
+        assert Scenario().anchor() == AnchorDepth(0.6)
+        assert sc.anchor() == AnchorDepth(default_object_features()[3].Z_star)
+        samples, _ = run(sc)
+        g = relative_transform(sc.initial_pose, sc.goal_pose)
+        assert samples[0].z == to_chained(error_from_transform(g, AnchorDepth(-0.3)))
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ConvergenceSpec(pos_tol=0.0), "convergence tolerances must be positive"),
+            (lambda: GoalUpdate(-0.5, Pose2(0.0, 0.0, 0.0)), "goal update time must be nonnegative"),
+            (lambda: Scenario(object_features=()), "at least one object feature is required"),
+            (
+                lambda: Scenario(
+                    perception_mode=PerceptionMode.ESTIMATED,
+                    object_features=default_object_features()[:1],
+                ),
+                "estimated perception needs at least two features",
+            ),
+            (
+                lambda: integrate_unicycle(Pose2(0.0, 0.0, 0.0), BodyTwist(1.0, 0.0), 0.0),
+                "dt must be positive",
+            ),
+            (lambda: FeaturePoint3(0.0, 0.0, 0.6), "feature depth X_star must be positive"),
+            (lambda: FeaturePoint3(3.0, 0.0, 0.0), "feature height Z_star must be nonzero"),
+            (lambda: TwistLimits(1.0, 0.0), "twist limits must be positive"),
+            (
+                lambda: MatchedPair(NormalizedFeature(0.1, 0.2), NormalizedFeature(0.1, 0.2), 0.0),
+                "reference depth must be positive",
+            ),
+        ],
+        ids=[
+            "convergence_spec", "goal_update_time", "no_features", "estimated_one_feature",
+            "integrate_dt", "feature_depth", "feature_height", "twist_limits", "pair_depth",
+        ],
+    )
+    def test_invalid_params_refused(self, build, message):
+        with pytest.raises(InvalidParams, match=message):
+            build()
 
     def test_case_list(self):
         cases = case_scenarios()

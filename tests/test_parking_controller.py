@@ -27,6 +27,11 @@ from servopark.parking_controller import (
 
 GAINS = compute_gains(PROPOSED_PARAMS)
 
+
+def _u0(z, dt=0.0):
+    return control_u0(z, in_invariant_set(z, GAINS, PROPOSED_PARAMS), GAINS, PROPOSED_PARAMS, dt)
+
+
 z_vals = st.floats(-5.0, 5.0, allow_nan=False)
 states = st.builds(ChainedState, z_vals, z_vals, z_vals)
 
@@ -108,7 +113,7 @@ class TestLyapunov:
 
 class TestBranchLaws:
     def test_ratio_law_reference(self):
-        u0, branch = control_u0(ChainedState(0.2, 1.0, -0.5), GAINS, PROPOSED_PARAMS)
+        u0, branch = _u0(ChainedState(0.2, 1.0, -0.5))
         assert branch is U0Branch.RATIO_LAW
         assert u0 == pytest.approx(1.1277924803023147, rel=1e-12)
 
@@ -119,7 +124,7 @@ class TestBranchLaws:
 
     def test_zero_lateral_gives_zero_u0(self):
         # z1 = 0 on the ratio branch: no heading command
-        u0, branch = control_u0(ChainedState(0.5, 0.0, 0.3), GAINS, PROPOSED_PARAMS)
+        u0, branch = _u0(ChainedState(0.5, 0.0, 0.3))
         assert branch is U0Branch.RATIO_LAW
         assert u0 == 0.0
 
@@ -145,7 +150,7 @@ class TestBranchLaws:
         # with hold time dt the cube-root branches command -y, y^3 + dt y = z,
         # so that one held step z + dt u of dz = u lands on y^3
         for z, u_of in (
-            (ChainedState(z_val, 0.0, 0.0), lambda z: control_u0(z, GAINS, PROPOSED_PARAMS, dt)),
+            (ChainedState(z_val, 0.0, 0.0), lambda z: _u0(z, dt)),
             (ChainedState(0.0, 0.0, z_val), lambda z: control_u1(z, 0.0, GAINS, PROPOSED_PARAMS, dt)),
         ):
             u, branch = u_of(z)
@@ -190,14 +195,14 @@ class TestBranchLaws:
         assert abs(tw.omega) <= 2.0 + 1e-12
         assert dec.u0_branch in U0Branch
         assert dec.u1_branch in U1Branch
-        assert math.isfinite(dec.V_value)
+        assert math.isfinite(lyapunov_V(z, GAINS, PROPOSED_PARAMS))
 
     @given(states)
     @settings(max_examples=300)
     def test_ratio_law_drives_product_down(self, z):
         # on the ratio branch the product z1 u0 z2 is never positive:
         # the lateral error moves against the coupling term
-        u0, branch = control_u0(z, GAINS, PROPOSED_PARAMS)
+        u0, branch = _u0(z)
         if branch is not U0Branch.RATIO_LAW or abs(z.z2) <= 1e-6:
             return
         assert z.z1 * u0 * z.z2 <= 1e-12
