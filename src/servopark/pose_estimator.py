@@ -13,15 +13,18 @@ an unconstrained linear least squares with a closed-form solution.
 The whole pipeline is deterministic: pairs are put into a canonical order
 before any summation, so permuting the input list cannot change a single
 bit of the output.  Each call unpacks every pair once, in that order, into
-a plain tuple (x, y, x_ref, y_ref, X_star, y_ref / y), and all the sums run
-over those tuples; ``pair_coeffs`` stays as the per-pair reference that the
-inlined pair loop of ``accumulate`` reproduces bit for bit.
+a plain tuple (x, y, x_ref, y_ref, X_star, y_ref / y): ``accumulate`` sums
+over those tuples and hands them on with its sums, so the translation
+stage of ``estimate_pose`` runs over the same tuples.  ``pair_coeffs`` and
+``_terms`` stay as the per-pair and per-feature references that the
+inlined loops of ``accumulate`` and ``_translation`` reproduce bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 from .errors import (
     DegenerateFeature,
@@ -57,13 +60,18 @@ class PairCoeffs:
     c: float
 
 
+# One matched pair, unpacked: (x, y, x_ref, y_ref, X_star, y_ref / y).
+_Row = tuple[float, float, float, float, float, float]
+
+
 @dataclass(frozen=True)
 class NormalAccumulators:
     """Sums of pair-constraint products over all unordered pairs.
 
     a1 = sum a^2, a2 = sum ab, a3 = sum b^2, b1 = -sum ac, b2 = -sum bc.
     c_sq = sum c^2 is carried so the rotation cost can be evaluated from the
-    accumulators alone.
+    accumulators alone.  ``rows`` are the features the sums ran over, in
+    canonical order, for the translation stage.
     """
 
     a1: float
@@ -73,6 +81,7 @@ class NormalAccumulators:
     b2: float
     c_sq: float
     pairs: int
+    rows: Sequence[_Row] = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -104,10 +113,6 @@ def pair_coeffs(p_i: MatchedPair, p_j: MatchedPair) -> PairCoeffs:
     return PairCoeffs(a, b, c)
 
 
-# One matched pair, unpacked: (x, y, x_ref, y_ref, X_star, y_ref / y).
-_Row = tuple[float, float, float, float, float, float]
-
-
 def _rows(pairs: list[MatchedPair]) -> list[_Row]:
     # fixed summation order makes the estimate permutation-invariant bit for bit
     ordered = sorted(pairs, key=lambda p: (p.ref.x, p.ref.y, p.cur.x, p.cur.y, p.X_star))
@@ -134,7 +139,7 @@ def accumulate(pairs: list[MatchedPair]) -> NormalAccumulators:
             b1 -= a * c
             b2 -= b * c
             c_sq += c * c
-    return NormalAccumulators(a1, a2, a3, b1, b2, c_sq, len(rows) * (len(rows) - 1) // 2)
+    return NormalAccumulators(a1, a2, a3, b1, b2, c_sq, len(rows) * (len(rows) - 1) // 2, rows)
 
 
 def quartic_coeffs(acc: NormalAccumulators) -> tuple[float, float, float, float]:
@@ -231,9 +236,6 @@ def solve_quartic(c1: float, c2: float, c3: float, c4: float) -> list[float]:
     def poly(x: float) -> float:
         return (((x + a3) * x + a2) * x + a1) * x + a0
 
-    def dpoly(x: float) -> float:
-        return ((4.0 * x + 3.0 * a3) * x + 2.0 * a2) * x + a1
-
     # depressed form y^4 + p y^2 + q y + r with l = y - a3/4
     p = a2 - 3.0 * a3 * a3 / 8.0
     q = a1 - a3 * a2 / 2.0 + a3 ** 3 / 8.0
@@ -269,19 +271,22 @@ def solve_quartic(c1: float, c2: float, c3: float, c4: float) -> list[float]:
             1.0, abs(a0), x2 * x2, abs(a3 * x2 * x), abs(a2 * x2), abs(a1 * x)
         )
 
+    # Newton with p and p' written out (the Horner forms of poly and its
+    # derivative); p is carried across iterations: each point is evaluated once
+    a3_3, a2_2 = 3.0 * a3, 2.0 * a2
     polished: list[tuple[float, float]] = []
     for y in seeds:
         x = y + shift
-        px = poly(x)  # carried across iterations: each point is evaluated once
+        px = (((x + a3) * x + a2) * x + a1) * x + a0
         best, best_val = x, abs(px)
         for _ in range(30):
-            d = dpoly(x)
+            d = ((4.0 * x + a3_3) * x + a2_2) * x + a1
             if d == 0.0:
                 break
             x_next = x - px / d
             if not math.isfinite(x_next):
                 break
-            px = poly(x_next)
+            px = (((x_next + a3) * x_next + a2) * x_next + a1) * x_next + a0
             val = abs(px)
             if val < best_val:
                 best, best_val = x_next, val
@@ -325,41 +330,29 @@ def _polish_on_circle(acc: NormalAccumulators, s: float, c: float) -> tuple[floa
     tangency (double-well) the curvature vanishes and the guard leaves the
     candidate untouched rather than divide by noise.
     """
-    curv_floor = 1e-7 * max(
-        1.0, abs(acc.a1) + abs(acc.a3), math.hypot(acc.b1, acc.b2)
-    )
+    a1, a2, a3, b1, b2 = acc.a1, acc.a2, acc.a3, acc.b1, acc.b2
+    curv_floor = 1e-7 * max(1.0, abs(a1) + abs(a3), math.hypot(b1, b2))
     phi = math.atan2(s, c)
-
-    def grad(p: float) -> float:
-        st, ct = math.sin(p), math.cos(p)
-        return 2.0 * (
-            st * ct * (acc.a1 - acc.a3)
-            + acc.a2 * (ct * ct - st * st)
-            - acc.b1 * ct
-            + acc.b2 * st
-        )
-
-    best, best_g = phi, abs(grad(phi))
+    # sin and cos are taken once per angle, and the gradient at the current
+    # angle is the one the previous iteration computed at its next angle
+    st, ct = math.sin(phi), math.cos(phi)
+    g = 2.0 * (st * ct * (a1 - a3) + a2 * (ct * ct - st * st) - b1 * ct + b2 * st)
+    best, best_g = (st, ct), abs(g)
     for _ in range(3):
-        st, ct = math.sin(phi), math.cos(phi)
-        h = 2.0 * (
-            (ct * ct - st * st) * (acc.a1 - acc.a3)
-            - 4.0 * acc.a2 * st * ct
-            + acc.b1 * st
-            + acc.b2 * ct
-        )
+        h = 2.0 * ((ct * ct - st * st) * (a1 - a3) - 4.0 * a2 * st * ct + b1 * st + b2 * ct)
         if abs(h) <= curv_floor:
             break
-        phi_next = phi - grad(phi) / h
+        phi_next = phi - g / h
         if not math.isfinite(phi_next):
             break
-        g_next = abs(grad(phi_next))
-        if g_next < best_g:
-            best, best_g = phi_next, g_next
+        st, ct = math.sin(phi_next), math.cos(phi_next)
+        g = 2.0 * (st * ct * (a1 - a3) + a2 * (ct * ct - st * st) - b1 * ct + b2 * st)
+        if abs(g) < best_g:
+            best, best_g = (st, ct), abs(g)
         if phi_next == phi:
             break
         phi = phi_next
-    return math.sin(best), math.cos(best)
+    return best
 
 
 def _rotation_cost(acc: NormalAccumulators, s: float, c: float) -> float:
@@ -510,7 +503,7 @@ def estimate_rotation(acc: NormalAccumulators) -> RotationEstimate:
     return found[0]
 
 
-def _terms(rows: list[_Row], s: float, c: float) -> list[tuple[float, float]]:
+def _terms(rows: Sequence[_Row], s: float, c: float) -> list[tuple[float, float]]:
     # MatchedPair already guarantees the vertical coordinates are usable
     return [
         (X * (r - (c - xr * s)), X * ((x - xr) * c - (x * xr + 1.0) * s))
@@ -523,34 +516,43 @@ def translation_terms(p: MatchedPair, r: RotationEstimate) -> tuple[float, float
     return _terms(_rows([p]), r.sin_theta, r.cos_theta)[0]
 
 
-def _solve_translation(rows: list[_Row], terms: list[tuple[float, float]]) -> tuple[float, float]:
-    """Translation least squares from per-feature terms, in canonical order."""
-    n = float(len(rows))
+def _translation(
+    rows: Sequence[_Row], s: float, c: float
+) -> tuple[list[tuple[float, float]], float, float]:
+    """Per-feature terms at (sin, cos) = (s, c) and the translation least squares.
+
+    One loop builds the terms (the expressions of ``_terms``) and the four
+    normal sums, in canonical order.
+    """
+    terms: list[tuple[float, float]] = []
     sum_x = sum_e = sum_dxe = sum_xx = 0.0
-    for row, (d, e) in zip(rows, terms):
-        x = row[0]
+    for x, _, xr, _, X, r in rows:
+        d = X * (r - (c - xr * s))
+        e = X * ((x - xr) * c - (x * xr + 1.0) * s)
+        terms.append((d, e))
         sum_x += x
         sum_e += e
         sum_dxe += d - x * e
         sum_xx += 1.0 + x * x
+    n = float(len(rows))
     den = n * sum_xx - sum_x * sum_x
     if den < 1e-12:
         raise DegenerateGeometry("translation normal equations are singular")
     t_x = (n * sum_dxe + sum_x * sum_e) / den
     t_y = (sum_x * t_x + sum_e) / n
-    return (t_x, t_y)
+    return terms, t_x, t_y
 
 
 def estimate_translation(pairs: list[MatchedPair], r: RotationEstimate) -> tuple[float, float]:
     """Closed-form minimizer of sum (d_i - t_x)^2 + (e_i + x_i t_x - t_y)^2."""
     if not pairs:
         raise InsufficientFeatures("at least one matched feature is required")
-    rows = _rows(pairs)
-    return _solve_translation(rows, _terms(rows, r.sin_theta, r.cos_theta))
+    _, t_x, t_y = _translation(_rows(pairs), r.sin_theta, r.cos_theta)
+    return (t_x, t_y)
 
 
 def _translation_residual(
-    rows: list[_Row], terms: list[tuple[float, float]], t_x: float, t_y: float
+    rows: Sequence[_Row], terms: list[tuple[float, float]], t_x: float, t_y: float
 ) -> float:
     resid = 0.0
     for row, (d, e) in zip(rows, terms):
@@ -559,7 +561,7 @@ def _translation_residual(
 
 
 def _gauss_newton_step(
-    rows: list[_Row],
+    rows: Sequence[_Row],
     terms: list[tuple[float, float]],
     s: float,
     c: float,
@@ -609,11 +611,14 @@ def _gauss_newton_step(
 def estimate_pose(pairs: list[MatchedPair]) -> PlanarTransformEstimate:
     """Full rotation-then-translation recovery from matched features.
 
-    Every admissible rotation candidate is carried through the translation
+    Admissible rotation candidates are carried through the translation
     stage, and the winner minimizes the combined residual.  The combination
     is what resolves the one-depth-plane ambiguity: the two rotations that
     fit the pairwise constraints equally well differ grossly in how
     consistent a single translation can make the per-feature equations.
+    The translation residual is a sum of squares, so a candidate whose
+    rotation cost alone exceeds the best combined key so far cannot win,
+    and it is not carried through the translation solve.
 
     The winner then seeds one Gauss-Newton step on (theta, t_x, t_y)
     against the per-feature equations.  On a one-depth board the two
@@ -631,14 +636,18 @@ def estimate_pose(pairs: list[MatchedPair]) -> PlanarTransformEstimate:
     acc = accumulate(pairs)
     if acc.a1 == 0.0 and acc.a3 == 0.0:
         raise DegenerateGeometry("feature pairs carry no rotation information")
-    rows = _rows(pairs)
+    rows = acc.rows
     best: PlanarTransformEstimate | None = None
     best_key: tuple[float, float] | None = None
     best_terms: list[tuple[float, float]] = []
     for rot in rotation_candidates(acc):
-        terms = _terms(rows, rot.sin_theta, rot.cos_theta)
+        # resid >= 0 and rounding is monotone, so the key's first entry is
+        # at least rot.residual; continue, not break, so that a NaN cost in
+        # the sort cannot hide a cheaper candidate later in the list
+        if best_key is not None and rot.residual > best_key[0]:
+            continue
         try:
-            t_x, t_y = _solve_translation(rows, terms)
+            terms, t_x, t_y = _translation(rows, rot.sin_theta, rot.cos_theta)
         except DegenerateGeometry:
             continue
         resid = _translation_residual(rows, terms, t_x, t_y)
