@@ -45,6 +45,16 @@ def _corridor_config(tmp_path, **extra):
     return str(path)
 
 
+# estimated perception through a camera whose principal point lies far off
+# the image, so the board is never seen and the run starves
+_BLIND_ESTIMATED = {
+    "perception_mode": "estimated",
+    "intrinsics": {
+        "f_x": 460.0, "f_y": 460.0, "c_x": -5000.0, "c_y": 240.0,
+        "width": 640, "height": 480, "min_depth": 0.1,
+    },
+}
+
 # two usable rows of a pairs file, header included
 _PAIRS_OK = "x_cur,y_cur,x_ref,y_ref,X_star\n0.1,0.2,0.1,0.2,3\n-0.3,0.25,-0.3,0.25,2\n"
 
@@ -93,14 +103,7 @@ class TestRunCommand:
         assert 7.0 < summary["t_converge"] < 9.0
 
     def test_starvation_exit_three(self, tmp_path):
-        cfg = _corridor_config(
-            tmp_path,
-            perception_mode="estimated",
-            intrinsics={
-                "f_x": 460.0, "f_y": 460.0, "c_x": -5000.0, "c_y": 240.0,
-                "width": 640, "height": 480, "min_depth": 0.1,
-            },
-        )
+        cfg = _corridor_config(tmp_path, **_BLIND_ESTIMATED)
         rc, _, err = _call(["run", "--config", cfg, "--out", str(tmp_path)])
         assert rc == 3
         assert "starvation" in err
@@ -128,6 +131,25 @@ class TestRunCommand:
         rc, _, err = _call(["run", "--config", cfg, "--out", str(tmp_path)])
         assert rc == 1
         assert "goal_updates[0]" in err
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("converged",
+             (0, "corridor: converged (final_pos_err=6.5281473279527006e-05 m)\n", "")),
+            ("not_converged",
+             (2, "case1: not converged (final_pos_err=3.9140988667707775 m)\n", "")),
+            ("starved",
+             (3, "", "run: estimator starvation: no usable pose estimate for 5.01 s at t = 5.00 s\n")),
+        ],
+    )
+    def test_outcome_report(self, tmp_path, source, expected):
+        if source == "not_converged":
+            argv = ["--case", "case1", "--t-max", "2"]
+        else:
+            extra = _BLIND_ESTIMATED if source == "starved" else {}
+            argv = ["--config", _corridor_config(tmp_path, **extra)]
+        assert _call(["run", *argv, "--out", str(tmp_path / "out")]) == expected
 
     def test_summary_keeps_float_types(self, tmp_path):
         rc, _, _ = _call(["run", "--case", "case3", "--out", str(tmp_path)])
@@ -419,6 +441,38 @@ class TestOverrides:
         rc, stdout, err = _call(["run", "--case", "case1", "--out", str(out)])
         assert (rc, stdout, err) == (1, "", "error: SERVOPARK_SEED: expected an integer, got '7.5'\n")
         assert not out.exists()
+
+
+class TestSharedFlags:
+    """`run` and `cases` take the same scenario flags; the source and perception flags are run's."""
+
+    @pytest.mark.parametrize("verb", ["run", "cases"])
+    def test_shared_flags_parse(self, verb):
+        parse = cli.build_parser().parse_args
+        args = parse([verb])
+        assert (args.out, args.dt, args.t_max, args.noise_px, args.seed, args.plot) == (
+            "out", None, None, None, None, False
+        )
+        args = parse([
+            verb, "--out", "o", "--dt", "0.5", "--t-max", "3", "--noise-px", "0.25",
+            "--seed", "4", "--plot",
+        ])
+        assert (args.out, args.dt, args.t_max, args.noise_px, args.seed, args.plot) == (
+            "o", 0.5, 3.0, 0.25, 4, True
+        )
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--case", "case1"), ("--config", "s.json"), ("--perception", "estimated"),
+         ("--v-max", "1"), ("--omega-max", "1")],
+    )
+    def test_run_only_flags(self, capsys, flag, value):
+        parse = cli.build_parser().parse_args
+        assert getattr(parse(["run", flag, value]), flag[2:].replace("-", "_")) is not None
+        with pytest.raises(SystemExit) as exc:
+            parse(["cases", flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 class TestCasesCommand:
