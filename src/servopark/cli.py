@@ -203,23 +203,21 @@ def load_pairs_csv(path: str) -> list[MatchedPair]:
         if not line.strip():
             continue
         fields = [f.strip() for f in line.split(",")]
-        if len(fields) != 5:
-            raise ConfigError(f"{path}:{lineno}: expected 5 comma-separated fields, got {len(fields)}")
+        if len(fields) != len(PAIRS_COLUMNS):
+            raise ConfigError(
+                f"{path}:{lineno}: expected {len(PAIRS_COLUMNS)} comma-separated fields,"
+                f" got {len(fields)}"
+            )
         try:
             vals = [float(f) for f in fields]
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-        for name, v in zip(PAIRS_HEADER.split(","), vals):
+        for (name, _, _), v in zip(PAIRS_COLUMNS, vals):
             if not math.isfinite(v):
                 raise ConfigError(f"{path}:{lineno}: {name} is not finite")
         try:
-            pairs.append(
-                MatchedPair(
-                    NormalizedFeature(vals[0], vals[1]),
-                    NormalizedFeature(vals[2], vals[3]),
-                    vals[4],
-                )
-            )
+            cur, ref = NormalizedFeature(*vals[:2]), NormalizedFeature(*vals[2:4])
+            pairs.append(MatchedPair(cur, ref, vals[4]))
         except ServoparkError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return pairs
@@ -247,30 +245,42 @@ def _resolve_seed(args, scenario: Scenario) -> Scenario:
 
 
 def _apply_overrides(args, scenario: Scenario) -> Scenario:
-    if args.dt is not None:
-        scenario = replace(scenario, dt=args.dt)
-    if args.t_max is not None:
-        scenario = replace(scenario, t_max=args.t_max)
-    if getattr(args, "perception", None) is not None:
-        scenario = replace(scenario, perception_mode=PerceptionMode(args.perception))
-    if args.noise_px is not None:
-        scenario = replace(scenario, pixel_noise_sigma=args.noise_px)
-    if getattr(args, "v_max", None) is not None or getattr(args, "omega_max", None) is not None:
-        if args.v_max is None or args.omega_max is None:
-            raise ConfigError("--v-max and --omega-max must be given together")
-        scenario = replace(scenario, limits=TwistLimits(args.v_max, args.omega_max))
+    """The scenario with every flag given applied in one step, then the seed."""
+    v_max, omega_max = getattr(args, "v_max", None), getattr(args, "omega_max", None)
+    if (v_max is None) != (omega_max is None):
+        raise ConfigError("--v-max and --omega-max must be given together")
+    perception = getattr(args, "perception", None)
+    changes = {
+        "dt": args.dt,
+        "t_max": args.t_max,
+        "perception_mode": None if perception is None else PerceptionMode(perception),
+        "pixel_noise_sigma": args.noise_px,
+        "limits": None if v_max is None else TwistLimits(v_max, omega_max),
+    }
+    scenario = replace(scenario, **{k: v for k, v in changes.items() if v is not None})
     return _resolve_seed(args, scenario)
 
 
-def _emit_run(out_dir: str, scenario: Scenario, plot: bool):
+def _run_outcome(out_dir: str, scenario: Scenario, plot: bool) -> tuple[int, dict]:
+    """Run ``scenario`` and write its files.
+
+    Returns the exit code (0 converged, 2 not converged, 3 starved) and the
+    run's cases_summary.json entry: its status and summary fields, or the
+    starvation error.
+    """
     os.makedirs(out_dir, exist_ok=True)
-    samples, summary = run(scenario)
+    try:
+        samples, summary = run(scenario)
+    except EstimatorStarvation as exc:
+        return 3, {"status": "starved", "error": str(exc)}
     base = os.path.join(out_dir, scenario.name)
     write_traj_csv(base + "_traj.csv", samples)
     _write_lines(base + "_summary.json", [json.dumps(asdict(summary), indent=2)])
     if plot:
         write_z0z1_csv(base + "_z0z1.csv", samples)
-    return summary
+    if summary.converged:
+        return 0, {"status": "converged", **asdict(summary)}
+    return 2, {"status": "not_converged", **asdict(summary)}
 
 
 def cmd_run(args) -> int:
@@ -285,45 +295,30 @@ def cmd_run(args) -> int:
         scenario = cases[args.case]
     else:
         scenario = load_scenario(args.config)
-    scenario = _apply_overrides(args, scenario)
-    try:
-        summary = _emit_run(args.out, scenario, args.plot)
-    except EstimatorStarvation as exc:
-        print(f"run: estimator starvation: {exc}", file=sys.stderr)
-        return 3
-    status = "converged" if summary.converged else "not converged"
-    print(f"{scenario.name}: {status} (final_pos_err={summary.final_pos_err:.17g} m)")
-    return 0 if summary.converged else 2
+    code, entry = _run_outcome(args.out, _apply_overrides(args, scenario), args.plot)
+    if code == 3:
+        print(f"run: estimator starvation: {entry['error']}", file=sys.stderr)
+    else:
+        status = entry["status"].replace("_", " ")
+        print(f"{scenario.name}: {status} (final_pos_err={entry['final_pos_err']:.17g} m)")
+    return code
 
 
 def cmd_cases(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     report: dict[str, dict] = {}
-    any_starved = False
-    all_converged = True
+    code = 0
     for name, base_scenario in case_scenarios().items():
         report[name] = {}
         for mode in PerceptionMode:
-            scenario = replace(
-                base_scenario, name=f"{name}_{mode.value}", perception_mode=mode
+            scenario = replace(base_scenario, name=f"{name}_{mode.value}", perception_mode=mode)
+            mode_code, report[name][mode.value] = _run_outcome(
+                args.out, _apply_overrides(args, scenario), args.plot
             )
-            scenario = _apply_overrides(args, scenario)
-            try:
-                summary = _emit_run(args.out, scenario, args.plot)
-            except EstimatorStarvation as exc:
-                report[name][mode.value] = {"status": "starved", "error": str(exc)}
-                any_starved = True
-                all_converged = False
-                continue
-            entry = {"status": "converged" if summary.converged else "not_converged"}
-            entry.update(asdict(summary))
-            report[name][mode.value] = entry
-            all_converged = all_converged and summary.converged
+            code = max(code, mode_code)  # 3 if any run starved, else 2 if any did not converge
     _write_lines(os.path.join(args.out, "cases_summary.json"), [json.dumps(report, indent=2)])
-    print(f"cases: all_converged={str(all_converged).lower()} (details in cases_summary.json)")
-    if all_converged:
-        return 0
-    return 3 if any_starved else 2
+    print(f"cases: all_converged={str(code == 0).lower()} (details in cases_summary.json)")
+    return code
 
 
 def cmd_estimate(args) -> int:
@@ -362,29 +357,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="simulate one scenario")
+    shared = argparse.ArgumentParser(add_help=False)  # the flags of both run and cases
+    shared.add_argument("--out", default="out", help="output directory (default: out)")
+    shared.add_argument("--dt", type=float, help="integration step override [s]")
+    shared.add_argument("--t-max", type=float, help="time budget override [s]")
+    shared.add_argument("--noise-px", type=float, help="pixel noise sigma override")
+    shared.add_argument("--seed", type=int, help="RNG seed override")
+    shared.add_argument("--plot", action="store_true", help="also write <name>_z0z1.csv")
+
+    p_run = sub.add_parser("run", parents=[shared], help="simulate one scenario")
     p_run.add_argument("--case", help="built-in case name (case1..case4)")
     p_run.add_argument("--config", help="scenario JSON file")
-    p_run.add_argument("--out", default="out", help="output directory (default: out)")
-    p_run.add_argument("--dt", type=float, default=None, help="integration step override [s]")
-    p_run.add_argument("--t-max", type=float, default=None, help="time budget override [s]")
-    p_run.add_argument(
-        "--perception", choices=[m.value for m in PerceptionMode], default=None
-    )
-    p_run.add_argument("--noise-px", type=float, default=None, help="pixel noise sigma override")
-    p_run.add_argument("--seed", type=int, default=None, help="RNG seed override")
-    p_run.add_argument("--v-max", type=float, default=None, help="linear velocity bound [m/s]")
-    p_run.add_argument("--omega-max", type=float, default=None, help="yaw rate bound [rad/s]")
-    p_run.add_argument("--plot", action="store_true", help="also write <name>_z0z1.csv")
+    p_run.add_argument("--perception", choices=[m.value for m in PerceptionMode])
+    p_run.add_argument("--v-max", type=float, help="linear velocity bound [m/s]")
+    p_run.add_argument("--omega-max", type=float, help="yaw rate bound [rad/s]")
     p_run.set_defaults(func=cmd_run)
 
-    p_cases = sub.add_parser("cases", help="run the four built-in cases in both perception modes")
-    p_cases.add_argument("--out", default="out")
-    p_cases.add_argument("--dt", type=float, default=None)
-    p_cases.add_argument("--t-max", type=float, default=None)
-    p_cases.add_argument("--noise-px", type=float, default=None)
-    p_cases.add_argument("--seed", type=int, default=None)
-    p_cases.add_argument("--plot", action="store_true")
+    p_cases = sub.add_parser(
+        "cases", parents=[shared], help="run the four built-in cases in both perception modes"
+    )
     p_cases.set_defaults(func=cmd_cases)
 
     p_est = sub.add_parser("estimate", help="estimate a pose from a matched-pairs CSV")

@@ -418,6 +418,16 @@ class TestOverrides:
         assert len(rows) == 101  # 2 s at dt 0.02
         assert [float(r[0]) for r in rows[:2]] == [0.0, 0.02]
 
+    def test_overrides_apply_together(self, tmp_path):
+        # --dt 250 exceeds case1's t_max of 200 s; only with --t-max 1000 is it valid
+        rc, out, err = _call(
+            ["run", "--case", "case1", "--dt", "250", "--t-max", "1000", "--out", str(tmp_path)]
+        )
+        assert (rc, err) == (2, "")
+        assert out.startswith("case1: not converged")
+        rows = self._rows(tmp_path / "case1_traj.csv")
+        assert [float(r[0]) for r in rows] == [0.0, 250.0, 500.0, 750.0, 1000.0]
+
     def test_twist_limits_override(self, tmp_path):
         rc, _, _ = _call([
             "run", "--case", "case1", "--v-max", "0.3", "--omega-max", "0.05",
