@@ -54,7 +54,7 @@ from .parking_controller import (
     ControllerParams,
     TwistLimits,
     compute_gains,
-    in_invariant_set,
+    in_invariant_set,  # noqa: F401 -- not called; bench/tracing.py WRAPS looks it up here
 )
 from .parking_controller import step as controller_step
 from .pose_estimator import MatchedPair, estimate_pose
@@ -164,7 +164,7 @@ class TrajectorySample:
     u: ChainedInput  # NaN pair on starved samples
     u0_branch: str
     u1_branch: str
-    in_gamma: bool
+    in_gamma: bool  # of the decision whose twist is carried; False before the first
     est_angle_err: float  # NaN when no estimate was formed
     est_trans_err: float
     visible_count: int
@@ -184,22 +184,23 @@ class RunSummary:
 
 
 def integrate_unicycle(pose: Pose2, twist: BodyTwist, dt: float) -> Pose2:
-    """One Runge-Kutta-4 step of the unicycle under a held twist."""
+    """One Runge-Kutta-4 step of the unicycle under a held twist.
+
+    The heading rate is constant, so both midpoint stages take the heading
+    theta + dt*w/2 and k3 = k2.
+    """
     if not dt > 0.0:
         raise InvalidParams("dt must be positive")
     v, w = twist.v, twist.omega
-
-    def deriv(theta: float) -> tuple[float, float, float]:
-        return (v * math.cos(theta), v * math.sin(theta), w)
-
-    k1 = deriv(pose.theta)
-    k2 = deriv(pose.theta + 0.5 * dt * k1[2])
-    k3 = deriv(pose.theta + 0.5 * dt * k2[2])
-    k4 = deriv(pose.theta + dt * k3[2])
+    mid = pose.theta + 0.5 * dt * w
+    end = pose.theta + dt * w
+    k1x, k1y = v * math.cos(pose.theta), v * math.sin(pose.theta)
+    k2x, k2y = v * math.cos(mid), v * math.sin(mid)
+    k4x, k4y = v * math.cos(end), v * math.sin(end)
     return Pose2(
-        pose.x + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-        pose.y + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-        pose.theta + dt * w,
+        pose.x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k2x + k4x),
+        pose.y + dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k2y + k4y),
+        end,
     )
 
 
@@ -267,8 +268,8 @@ def run(scenario: Scenario) -> tuple[list[TrajectorySample], RunSummary]:
     Convergence is declared at the first sample completing one second of
     consecutive in-tolerance, quiet-twist samples, judged on the true state
     and the commanded (post-clamp) twist.  In estimated mode a sample with
-    no usable estimate holds the previous twist; a starvation streak longer
-    than the limit aborts the run.
+    no usable estimate holds the previous twist, with that decision's
+    in_gamma; a starvation streak longer than the limit aborts the run.
     """
     gains = compute_gains(scenario.controller)
     anchor = scenario.anchor()
@@ -279,7 +280,8 @@ def run(scenario: Scenario) -> tuple[list[TrajectorySample], RunSummary]:
 
     pose = scenario.initial_pose
     goal = scenario.goal_pose
-    twist = BodyTwist(0.0, 0.0)  # held through starved steps
+    twist = BodyTwist(0.0, 0.0)  # held through starved steps, with its decision's in_gamma
+    in_gamma = False
     estimated = scenario.perception_mode is PerceptionMode.ESTIMATED
     samples: list[TrajectorySample] = []
     next_update = 0
@@ -322,9 +324,8 @@ def run(scenario: Scenario) -> tuple[list[TrajectorySample], RunSummary]:
                     est.transform.t_x - g_true.t_x, est.transform.t_y - g_true.t_y
                 )
 
-        if starved:  # keep the previous twist; no law is evaluated
+        if starved:  # keep the previous twist and its in_gamma; no law is evaluated
             u, u0_branch, u1_branch = ChainedInput(math.nan, math.nan), _HELD, _HELD
-            in_gamma = in_invariant_set(z_true, gains, scenario.controller)
         else:
             twist, decision = controller_step(
                 z_ctrl, gains, scenario.controller, scenario.limits, anchor, scenario.dt

@@ -221,6 +221,38 @@ class TestRunBasics:
         with pytest.raises(EstimatorStarvation):
             run(sc)
 
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            # never sees the board: every sample is held, none after a decision
+            corridor_scenario(
+                perception_mode=PerceptionMode.ESTIMATED,
+                intrinsics=CameraIntrinsics(460.0, 460.0, -5000.0, 240.0, 640, 480, 0.1),
+                t_max=3.0,
+            ),
+            # six held samples near t = 34 s, after decisions outside Gamma
+            dataclasses.replace(
+                case_scenarios()["case1"],
+                perception_mode=PerceptionMode.ESTIMATED,
+                pixel_noise_sigma=0.5,
+                rng_seed=7,
+                t_max=35.0,
+            ),
+        ],
+        ids=["blind", "case1_noisy"],
+    )
+    def test_held_sample_carries_its_decisions_in_gamma(self, scenario):
+        samples, _ = run(scenario)
+        decided = False  # in_gamma of the last controlled sample
+        held = 0
+        for s in samples:
+            if s.u0_branch == "held":
+                held += 1
+                assert s.in_gamma is decided, s.t
+            else:
+                decided = s.in_gamma
+        assert held > 0
+
 
 class TestCallShapes:
     # The per-layer timings wrap these names in the closed_loop_sim namespace;
