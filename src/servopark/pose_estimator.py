@@ -646,10 +646,7 @@ def estimate_pose(pairs: list[MatchedPair]) -> PlanarTransformEstimate:
         # the sort cannot hide a cheaper candidate later in the list
         if best_key is not None and rot.residual > best_key[0]:
             continue
-        try:
-            terms, t_x, t_y = _translation(rows, rot.sin_theta, rot.cos_theta)
-        except DegenerateGeometry:
-            continue
+        terms, t_x, t_y = _translation(rows, rot.sin_theta, rot.cos_theta)
         resid = _translation_residual(rows, terms, t_x, t_y)
         phi = math.atan2(rot.sin_theta, rot.cos_theta)
         key = (rot.residual + resid, phi)

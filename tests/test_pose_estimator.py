@@ -426,6 +426,16 @@ class TestEstimatePose:
         with pytest.raises(DegenerateGeometry):
             estimate_pose(same)
 
+    def test_singular_translation_reported_as_itself(self):
+        # den = n * sum(1 + x^2) - (sum x)^2 rounds to 0 at |x| = 1e8, for
+        # every rotation candidate alike, since it depends on the features only
+        refs = [(0.1, 0.2, 3.0), (-0.2, -0.3, 2.0), (0.3, 0.25, 4.0)]
+        pairs = [
+            MatchedPair(NormalizedFeature(1e8, y), NormalizedFeature(x, y), X) for x, y, X in refs
+        ]
+        with pytest.raises(DegenerateGeometry, match="translation normal equations are singular"):
+            estimate_pose(pairs)
+
     def test_pair_order_invariant_bitwise(self, rng):
         g, pairs = random_scene(rng, n_min=10, n_max=10)
         base = estimate_pose(pairs)
