@@ -216,8 +216,13 @@ def load_pairs_csv(path: str) -> list[MatchedPair]:
             if not math.isfinite(v):
                 raise ConfigError(f"{path}:{lineno}: {name} is not finite")
         try:
-            cur, ref = NormalizedFeature(*vals[:2]), NormalizedFeature(*vals[2:4])
-            pairs.append(MatchedPair(cur, ref, vals[4]))
+            pairs.append(
+                MatchedPair(
+                    NormalizedFeature(vals[0], vals[1]),
+                    NormalizedFeature(vals[2], vals[3]),
+                    vals[4],
+                )
+            )
         except ServoparkError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return pairs
