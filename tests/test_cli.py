@@ -151,6 +151,41 @@ class TestRunCommand:
             argv = ["--config", _corridor_config(tmp_path, **extra)]
         assert _call(["run", *argv, "--out", str(tmp_path / "out")]) == expected
 
+    # SHA-256 of `run --case caseN --plot` outputs (traj, summary, z0z1),
+    # recorded before the per-step values became named tuples
+    _RECORDED_BYTES = {
+        "case1": (
+            "39ab86f7b2077c4143fbe7ad2b12b4c5d5e0481ec146bb2f5e72d87556bfe4c2",
+            "2cf6c4b5d6f376b8d6bc928e1a4eff4abc9060d1348e27a8c69896c332473e6c",
+            "92eec2ccd9c3e253f1387d746263480cb90239b954806dcafffe66c997d44cef",
+        ),
+        "case2": (
+            "99b9fb2f6ae12aae6e4519990120fb9fb6034ad8c0dcfcaf09e8838e7981f7fc",
+            "e957b9fc8a62dd6f529972e55048035f81e6864737ce73c25a6468561c937b7a",
+            "251c631f50658c14f775b83ed1ef1534aec828cfc76d7bf85d6312e60127e0e4",
+        ),
+        "case3": (
+            "e95a07622698a1dfe1b84d85f92a9c61cffbad978bc7de7b67fb4eba512d92cc",
+            "815a4d66c5d975123bad3e73301516208b470e41bcb2ef218e8067881f0ee412",
+            "6027fc4d1467fce30f587813a98c040836d0ed2edd38724b37f361396f6432db",
+        ),
+        "case4": (
+            "7c37a5382f352ae588f9ab3a321bdcd351ce845f57d5e25a00a8009d23359f7e",
+            "6183a8ca8e4975f4abd310314320c9caf7d983a67f8787857da2ad13c6a4d1b8",
+            "cd49d16b9211d4cde59460e29fa9da66ea8b1125e341be36cbcc53ecb2a51449",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(_RECORDED_BYTES))
+    def test_recorded_case_bytes(self, tmp_path, case):
+        rc, _, _ = _call(["run", "--case", case, "--plot", "--out", str(tmp_path)])
+        assert rc == 0
+        digests = tuple(
+            hashlib.sha256((tmp_path / f"{case}{suffix}").read_bytes()).hexdigest()
+            for suffix in ("_traj.csv", "_summary.json", "_z0z1.csv")
+        )
+        assert digests == self._RECORDED_BYTES[case]
+
     def test_summary_keeps_float_types(self, tmp_path):
         rc, _, _ = _call(["run", "--case", "case3", "--out", str(tmp_path)])
         assert rc == 0
