@@ -310,17 +310,20 @@ def cmd_run(args) -> int:
 
 
 def cmd_cases(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
+    # every override is applied before the first run makes the output
+    # directory, so a refused flag leaves nothing behind
+    runs = {
+        (name, mode.value): _apply_overrides(
+            args, replace(base, name=f"{name}_{mode.value}", perception_mode=mode)
+        )
+        for name, base in case_scenarios().items()
+        for mode in PerceptionMode
+    }
     report: dict[str, dict] = {}
     code = 0
-    for name, base_scenario in case_scenarios().items():
-        report[name] = {}
-        for mode in PerceptionMode:
-            scenario = replace(base_scenario, name=f"{name}_{mode.value}", perception_mode=mode)
-            mode_code, report[name][mode.value] = _run_outcome(
-                args.out, _apply_overrides(args, scenario), args.plot
-            )
-            code = max(code, mode_code)  # 3 if any run starved, else 2 if any did not converge
+    for (name, mode), scenario in runs.items():
+        mode_code, report.setdefault(name, {})[mode] = _run_outcome(args.out, scenario, args.plot)
+        code = max(code, mode_code)  # 3 if any run starved, else 2 if any did not converge
     _write_lines(os.path.join(args.out, "cases_summary.json"), [json.dumps(report, indent=2)])
     print(f"cases: all_converged={str(code == 0).lower()} (details in cases_summary.json)")
     return code

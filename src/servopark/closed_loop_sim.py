@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,6 +76,8 @@ class PerceptionMode(Enum):
 
 @dataclass(frozen=True)
 class ConvergenceSpec:
+    """Configuration, so a dataclass, like Scenario."""
+
     pos_tol: float = 0.05
     ang_tol: float = 0.02
 
@@ -85,7 +88,10 @@ class ConvergenceSpec:
 
 @dataclass(frozen=True)
 class GoalUpdate:
-    """Timed re-placement of the object: the goal pose jumps at time t."""
+    """Timed re-placement of the object: the goal pose jumps at time t.
+
+    Configuration, so a dataclass, like Scenario.
+    """
 
     t: float
     goal_pose: Pose2
@@ -109,6 +115,13 @@ def default_object_features() -> tuple[FeaturePoint3, ...]:
 
 @dataclass(frozen=True)
 class Scenario:
+    """One run's configuration.
+
+    Like the other configuration types, a dataclass: the scenario parser
+    builds it from JSON through ``fields()``, ``__post_init__`` validates
+    it, and the CLI applies overrides with ``replace``.
+    """
+
     name: str = "unnamed"
     initial_pose: Pose2 = Pose2(0.0, 0.0, 0.0)
     goal_pose: Pose2 = Pose2(0.0, 0.0, 0.0)
@@ -155,8 +168,7 @@ class Scenario:
         return AnchorDepth(best.Z_star)
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
+class TrajectorySample(NamedTuple):
     t: float
     pose: Pose2
     z: ChainedState  # true chained state, also in estimated mode
@@ -172,6 +184,8 @@ class TrajectorySample:
 
 @dataclass(frozen=True)
 class RunSummary:
+    """A dataclass: ``asdict`` gives the summary JSON, in field order."""
+
     converged: bool
     t_converge: float | None
     final_pos_err: float
@@ -331,7 +345,8 @@ def run(scenario: Scenario) -> tuple[list[TrajectorySample], RunSummary]:
                 z_ctrl, gains, scenario.controller, scenario.limits, anchor, scenario.dt
             )
             u, in_gamma = decision.u, decision.in_gamma
-            u0_branch, u1_branch = decision.u0_branch.value, decision.u1_branch.value
+            # _value_ is what Enum.value returns, without the descriptor call
+            u0_branch, u1_branch = decision.u0_branch._value_, decision.u1_branch._value_
         sample = TrajectorySample(
             t,
             pose,

@@ -21,33 +21,32 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegenerateFeature, ZeroAnchorDepth
 from .geometry import Y_TOL, NormalizedFeature, PlanarTransform
 
 
-@dataclass(frozen=True)
-class ErrorState:
+# The per-step values are named tuples: run() builds several a step, and a
+# tuple is built in a fraction of a frozen dataclass's time.
+class ErrorState(NamedTuple):
     x_e: float
     y_e: float
     theta_e: float
 
 
-@dataclass(frozen=True)
-class ChainedState:
+class ChainedState(NamedTuple):
     z0: float
     z1: float
     z2: float
 
 
-@dataclass(frozen=True)
-class ChainedInput:
+class ChainedInput(NamedTuple):
     u0: float
     u1: float
 
 
-@dataclass(frozen=True)
-class BodyTwist:
+class BodyTwist(NamedTuple):
     """Forward velocity along the optical axis and yaw rate."""
 
     v: float

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidParams
 
@@ -37,7 +38,11 @@ def wrap_angle(theta: float) -> float:
 
 @dataclass(frozen=True)
 class Pose2:
-    """Planar pose (x, y, theta) of a frame expressed in a parent frame."""
+    """Planar pose (x, y, theta) of a frame expressed in a parent frame.
+
+    A dataclass, not a named tuple: ``__post_init__`` wraps the angle, and
+    the scenario parser builds it from JSON through ``fields()``.
+    """
 
     x: float
     y: float
@@ -64,8 +69,7 @@ class Pose2:
         )
 
 
-@dataclass(frozen=True)
-class PlanarTransform:
+class PlanarTransform(NamedTuple):
     """Rigid map from goal-frame to current-frame coordinates: P = R(phi) P* + T."""
 
     phi: float
@@ -75,6 +79,8 @@ class PlanarTransform:
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
+    """Configuration, so a dataclass, like Scenario."""
+
     f_x: float
     f_y: float
     c_x: float
@@ -104,6 +110,7 @@ class FeaturePoint3:
     X_star is the depth along the goal camera's optical axis, Y_star the
     lateral offset, Z_star the height.  Height is preserved by planar motion
     and must be nonzero because the error coordinates divide by it.
+    Configuration, so a dataclass, like Scenario.
     """
 
     X_star: float
@@ -161,8 +168,15 @@ def relative_transform(robot: Pose2, goal: Pose2) -> PlanarTransform:
 
     With p_r the robot pose expressed in the goal frame, the map is
     phi = -theta_r, T = -R(phi) p_r, which satisfies R(phi) p_r + T = 0.
+    p_r is goal.invert().compose(robot), computed here operation for
+    operation on floats, without the two intermediate poses.
     """
-    rel = goal.invert().compose(robot)
-    phi = -rel.theta
+    c, s = math.cos(goal.theta), math.sin(goal.theta)
+    inv_x, inv_y = -(c * goal.x + s * goal.y), -(c * goal.y - s * goal.x)
+    inv_theta = wrap_angle(-goal.theta)
+    c, s = math.cos(inv_theta), math.sin(inv_theta)
+    rel_x = inv_x + c * robot.x - s * robot.y
+    rel_y = inv_y + s * robot.x + c * robot.y
+    phi = -wrap_angle(inv_theta + robot.theta)
     c, s = math.cos(phi), math.sin(phi)
-    return PlanarTransform(phi, -(c * rel.x - s * rel.y), -(s * rel.x + c * rel.y))
+    return PlanarTransform(phi, -(c * rel_x - s * rel_y), -(s * rel_x + c * rel_y))

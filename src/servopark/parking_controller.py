@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .error_state import AnchorDepth, BodyTwist, ChainedInput, ChainedState, inputs_to_twist
 from .errors import InvalidParams
@@ -46,6 +47,8 @@ EPS_INPUT = 1e-9
 
 @dataclass(frozen=True)
 class ControllerParams:
+    """Configuration, so a dataclass, like Scenario."""
+
     kappa0: float
     kappa2: float
     epsilon: float
@@ -93,8 +96,7 @@ class U1Branch(Enum):
     RICCATI_LAW = "riccati_law"
 
 
-@dataclass(frozen=True)
-class ControlDecision:
+class ControlDecision(NamedTuple):
     u: ChainedInput
     u0_branch: U0Branch
     u1_branch: U1Branch
@@ -103,6 +105,8 @@ class ControlDecision:
 
 @dataclass(frozen=True)
 class TwistLimits:
+    """Configuration, so a dataclass, like Scenario."""
+
     v_max: float
     omega_max: float
 

@@ -40,7 +40,10 @@ MAX_FEATURES = 64  # reject rather than silently subsample
 
 @dataclass(frozen=True)
 class MatchedPair:
-    """One feature correspondence: current view, reference view, reference depth."""
+    """One feature correspondence: current view, reference view, reference depth.
+
+    A dataclass: its ``__post_init__`` is the one admission check for a feature.
+    """
 
     cur: NormalizedFeature
     ref: NormalizedFeature
@@ -71,7 +74,8 @@ class NormalAccumulators:
     a1 = sum a^2, a2 = sum ab, a3 = sum b^2, b1 = -sum ac, b2 = -sum bc.
     c_sq = sum c^2 is carried so the rotation cost can be evaluated from the
     accumulators alone.  ``rows`` are the features the sums ran over, in
-    canonical order, for the translation stage.
+    canonical order, for the translation stage.  A dataclass, so that
+    ``rows`` can stay out of equality and repr.
     """
 
     a1: float
@@ -86,6 +90,8 @@ class NormalAccumulators:
 
 @dataclass(frozen=True)
 class RotationEstimate:
+    """A dataclass: bench/tests builds variants with ``dataclasses.replace``."""
+
     sin_theta: float
     cos_theta: float
     lam: float
@@ -94,6 +100,8 @@ class RotationEstimate:
 
 @dataclass(frozen=True)
 class PlanarTransformEstimate:
+    """A dataclass: bench/tests builds variants with ``dataclasses.replace``."""
+
     transform: PlanarTransform
     rotation: RotationEstimate
     translation_residual: float

@@ -380,13 +380,14 @@ class TestBoundaryRefusals:
             (None, ["run", "--case", "case1", "--t-max", "inf"], "t_max must be finite"),
             (None, ["run", "--case", "case1", "--noise-px", "inf"],
              "pixel_noise_sigma must be finite"),
+            (None, ["cases", "--t-max", "inf"], "t_max must be finite"),
             (None, ["gen-pairs", "--noise-px", "inf"], "pixel_noise_sigma must be finite"),
             (None, ["gen-pairs", "--theta", "inf"], "--theta, --tx and --ty must be finite"),
             (None, ["gen-pairs", "--ty", "nan"], "--theta, --tx and --ty must be finite"),
         ],
         ids=[
             "json_inf", "json_minus_inf", "json_overflow", "json_huge_int", "json_nan",
-            "run_t_max", "run_noise", "gen_noise", "gen_theta", "gen_ty",
+            "run_t_max", "run_noise", "cases_t_max", "gen_noise", "gen_theta", "gen_ty",
         ],
     )
     def test_non_finite_number_refused(self, tmp_path, scenario, argv, message):

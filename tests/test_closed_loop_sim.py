@@ -191,7 +191,7 @@ class TestRunBasics:
         window = round(1.0 / sc.dt)
         rate = (sc.dt / 2.0) ** 0.5
         loud = samples[:-window] + [
-            dataclasses.replace(s, twist=BodyTwist(s.twist.v, rate if k % 2 else -rate))
+            s._replace(twist=BodyTwist(s.twist.v, rate if k % 2 else -rate))
             for k, s in enumerate(samples[-window:])
         ]
         summary = summarize(loud, sc)

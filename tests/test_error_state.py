@@ -19,12 +19,15 @@ from servopark.error_state import (
     twist_to_inputs,
 )
 from servopark.errors import DegenerateFeature, ZeroAnchorDepth
+from servopark.closed_loop_sim import TrajectorySample
 from servopark.geometry import (
     FeaturePoint3,
     NormalizedFeature,
     PlanarTransform,
+    Pose2,
     transform_point,
 )
+from servopark.parking_controller import ControlDecision, U0Branch, U1Branch
 
 small_angles = st.floats(-1.0, 1.0, allow_nan=False)
 offsets = st.floats(-1.5, 1.5, allow_nan=False)
@@ -162,3 +165,51 @@ class TestChainedDynamics:
         assert dz0 == pytest.approx(u.u0, abs=1e-5)
         assert dz1 == pytest.approx(u.u0 * z.z2, abs=1e-5)
         assert dz2 == pytest.approx(u.u1, abs=1e-5)
+
+
+# The per-step value types, one value each, with its repr.
+_VALUES = [
+    (ErrorState(1.0, 2.0, 3.0), "ErrorState(x_e=1.0, y_e=2.0, theta_e=3.0)"),
+    (ChainedState(1.0, 2.0, 3.0), "ChainedState(z0=1.0, z1=2.0, z2=3.0)"),
+    (ChainedInput(1.0, 2.0), "ChainedInput(u0=1.0, u1=2.0)"),
+    (BodyTwist(1.0, 2.0), "BodyTwist(v=1.0, omega=2.0)"),
+    (PlanarTransform(1.0, 2.0, 3.0), "PlanarTransform(phi=1.0, t_x=2.0, t_y=3.0)"),
+    (
+        ControlDecision(ChainedInput(1.0, 2.0), U0Branch.IN_GAMMA, U1Branch.KAPPA2, True),
+        "ControlDecision(u=ChainedInput(u0=1.0, u1=2.0),"
+        " u0_branch=<U0Branch.IN_GAMMA: 'in_gamma'>,"
+        " u1_branch=<U1Branch.KAPPA2: 'kappa2'>, in_gamma=True)",
+    ),
+    (
+        TrajectorySample(
+            0.5, Pose2(1.0, 2.0, 3.0), ChainedState(1.0, 2.0, 3.0), BodyTwist(1.0, 2.0),
+            ChainedInput(0.25, 0.5), "held", "held", False, 0.0, 0.0, 6,
+        ),
+        "TrajectorySample(t=0.5, pose=Pose2(x=1.0, y=2.0, theta=3.0),"
+        " z=ChainedState(z0=1.0, z1=2.0, z2=3.0), twist=BodyTwist(v=1.0, omega=2.0),"
+        " u=ChainedInput(u0=0.25, u1=0.5), u0_branch='held', u1_branch='held',"
+        " in_gamma=False, est_angle_err=0.0, est_trans_err=0.0, visible_count=6)",
+    ),
+]
+
+
+@pytest.mark.parametrize("value, text", _VALUES, ids=[type(v).__name__ for v, _ in _VALUES])
+class TestValueTypes:
+    """Immutable, hashable, compared field by field, and printed as before."""
+
+    def test_immutable(self, value, text):
+        with pytest.raises(AttributeError):
+            setattr(value, value._fields[0], 0.0)
+
+    def test_hashable(self, value, text):
+        twin = type(value)(*value)
+        assert hash(twin) == hash(value)
+        assert len({value, twin}) == 1
+
+    def test_fieldwise_equality(self, value, text):
+        assert type(value)(*value) == value
+        for name in value._fields:
+            assert value._replace(**{name: "other"}) != value
+
+    def test_repr(self, value, text):
+        assert repr(value) == text

@@ -184,3 +184,16 @@ class TestRelativeTransform:
         dx, dy = wx - robot.x, wy - robot.y
         direct = (cr * dx + sr * dy, -sr * dx + cr * dy, p_goal[2])
         assert via_rel == pytest.approx(direct, abs=1e-12)
+
+    @given(pose_strategy, pose_strategy, st.sampled_from([None, math.pi, -math.pi, 0.0]))
+    @settings(max_examples=200)
+    def test_bits_match_pose_composition(self, robot, goal, goal_theta):
+        # relative_transform inlines goal.invert().compose(robot); the pose
+        # methods are the reference, bit for bit, also on the branch cut
+        if goal_theta is not None:
+            goal = Pose2(goal.x, goal.y, goal_theta)
+        rel = goal.invert().compose(robot)
+        phi = -rel.theta
+        c, s = math.cos(phi), math.sin(phi)
+        expected = (phi, -(c * rel.x - s * rel.y), -(s * rel.x + c * rel.y))
+        assert [v.hex() for v in relative_transform(robot, goal)] == [v.hex() for v in expected]
