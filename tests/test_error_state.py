@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from servopark.closed_loop_sim import TrajectorySample
 from servopark.error_state import (
     AnchorDepth,
     BodyTwist,
@@ -19,7 +20,6 @@ from servopark.error_state import (
     twist_to_inputs,
 )
 from servopark.errors import DegenerateFeature, ZeroAnchorDepth
-from servopark.closed_loop_sim import TrajectorySample
 from servopark.geometry import (
     FeaturePoint3,
     NormalizedFeature,
@@ -195,7 +195,7 @@ _VALUES = [
 
 @pytest.mark.parametrize("value, text", _VALUES, ids=[type(v).__name__ for v, _ in _VALUES])
 class TestValueTypes:
-    """Immutable, hashable, compared field by field, and printed as before."""
+    """Immutable, hashable, equal field by field, and printed as Name(field=value, ...)."""
 
     def test_immutable(self, value, text):
         with pytest.raises(AttributeError):
