@@ -159,6 +159,8 @@ class Scenario:
             0 <= self.anchor_index < len(self.object_features)
         ):
             raise InvalidParams("anchor_index out of range")
+        if not math.isfinite(self.t_max / self.dt):
+            raise InvalidParams("t_max / dt must be a finite step count")
 
     def anchor(self) -> AnchorDepth:
         """Anchor height Z*; defaults to the feature of largest |Z_star|."""

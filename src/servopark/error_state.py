@@ -14,17 +14,17 @@ Their dynamics under a body twist (v, omega) are
 
 and the chained coordinates (z0, z1, z2) = (-theta_e, y_e, -x_e) turn them
 into dz0 = u0, dz1 = u0 z2, dz2 = u1 with u0 = omega, u1 = v/Z* - z1 u0.
-Both identities are pinned by finite-difference tests.
+Both identities are pinned by a finite-difference test of the chained
+dynamics under the unicycle flow, in tests/test_error_state.py.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DegenerateFeature, ZeroAnchorDepth
-from .geometry import Y_TOL, NormalizedFeature, PlanarTransform
+from .errors import ZeroAnchorDepth
+from .geometry import PlanarTransform
 
 
 # The per-step values are named tuples: run() builds several a step, and a
@@ -69,24 +69,6 @@ def error_from_transform(g: PlanarTransform, anchor: AnchorDepth) -> ErrorState:
     return ErrorState(g.t_x / anchor.Z_star, g.t_y / anchor.Z_star, g.phi)
 
 
-def error_from_features(
-    current: NormalizedFeature, reference: NormalizedFeature, angle: float
-) -> tuple[float, float]:
-    """(x_e, y_e) from one matched feature and the rotation angle.
-
-    ``angle`` is the angle of the feature-map rotation, which equals minus
-    the transform angle phi under this package's frame convention.  The
-    result is independent of which feature is used; the transform-based
-    construction is the oracle for that claim.
-    """
-    if abs(current.y) < Y_TOL or abs(reference.y) < Y_TOL:
-        raise DegenerateFeature("vertical normalized coordinate too close to zero")
-    s, c = math.sin(angle), math.cos(angle)
-    x_e = 1.0 / current.y - (s * reference.x + c) / reference.y
-    y_e = current.x / current.y - (c * reference.x - s) / reference.y
-    return (x_e, y_e)
-
-
 def to_chained(e: ErrorState) -> ChainedState:
     return ChainedState(-e.theta_e, e.y_e, -e.x_e)
 
@@ -95,6 +77,3 @@ def inputs_to_twist(u: ChainedInput, z: ChainedState, anchor: AnchorDepth) -> Bo
     """Invert the chained-input definition: omega = u0, v = Z* (u1 + z1 u0)."""
     return BodyTwist(anchor.Z_star * (u.u1 + z.z1 * u.u0), u.u0)
 
-
-def twist_to_inputs(t: BodyTwist, z: ChainedState, anchor: AnchorDepth) -> ChainedInput:
-    return ChainedInput(t.omega, t.v / anchor.Z_star - z.z1 * t.omega)

@@ -15,9 +15,10 @@ before any summation, so permuting the input list cannot change a single
 bit of the output.  Each call unpacks every pair once, in that order, into
 a plain tuple (x, y, x_ref, y_ref, X_star, y_ref / y): ``accumulate`` sums
 over those tuples and hands them on with its sums, so the translation
-stage of ``estimate_pose`` runs over the same tuples.  ``pair_coeffs`` and
-``_terms`` stay as the per-pair and per-feature references that the
-inlined loops of ``accumulate`` and ``_translation`` reproduce bit for bit.
+stage of ``estimate_pose`` runs over the same tuples.  The inlined loop of
+``accumulate`` reproduces, bit for bit, the per-pair coefficient reference
+kept in tests/conftest.py; ``_translation`` inlines the per-feature
+expressions of ``_terms``.
 """
 
 from __future__ import annotations
@@ -54,13 +55,6 @@ class MatchedPair:
             raise DegenerateFeature("vertical normalized coordinate too close to zero")
         if not self.X_star > 0.0:
             raise InvalidParams("reference depth must be positive")
-
-
-@dataclass(frozen=True)
-class PairCoeffs:
-    a: float
-    b: float
-    c: float
 
 
 # One matched pair, unpacked: (x, y, x_ref, y_ref, X_star, y_ref / y).
@@ -107,20 +101,6 @@ class PlanarTransformEstimate:
     translation_residual: float
 
 
-def pair_coeffs(p_i: MatchedPair, p_j: MatchedPair) -> PairCoeffs:
-    """Rotation constraint coefficients for one unordered feature pair."""
-    xi, yi = p_i.cur.x, p_i.cur.y
-    xj, yj = p_j.cur.x, p_j.cur.y
-    xi_r, yi_r = p_i.ref.x, p_i.ref.y
-    xj_r, yj_r = p_j.ref.x, p_j.ref.y
-    ri = yi_r / yi
-    rj = yj_r / yj
-    a = ri * (xi * xj_r + 1.0) - rj * (xi_r * xj + 1.0)
-    b = ri * (xj_r - xi) - rj * (xi_r - xj)
-    c = (yi_r * yj_r) / (yi * yj) * (xi - xj) + (xi_r - xj_r)
-    return PairCoeffs(a, b, c)
-
-
 def _rows(pairs: list[MatchedPair]) -> list[_Row]:
     # fixed summation order makes the estimate permutation-invariant bit for bit
     ordered = sorted(pairs, key=lambda p: (p.ref.x, p.ref.y, p.cur.x, p.cur.y, p.X_star))
@@ -137,7 +117,7 @@ def accumulate(pairs: list[MatchedPair]) -> NormalAccumulators:
     a1 = a2 = a3 = b1 = b2 = c_sq = 0.0
     for i, (xi, yi, xi_r, yi_r, _, ri) in enumerate(rows):
         for xj, yj, xj_r, yj_r, _, rj in rows[i + 1:]:
-            # pair_coeffs, inlined: the same expressions in the same order
+            # the per-pair reference of tests/conftest.py, inlined: same expressions, same order
             a = ri * (xi * xj_r + 1.0) - rj * (xi_r * xj + 1.0)
             b = ri * (xj_r - xi) - rj * (xi_r - xj)
             c = (yi_r * yj_r) / (yi * yj) * (xi - xj) + (xi_r - xj_r)
@@ -503,25 +483,12 @@ def rotation_candidates(acc: NormalAccumulators) -> list[RotationEstimate]:
     return found
 
 
-def estimate_rotation(acc: NormalAccumulators) -> RotationEstimate:
-    """The minimal-cost unit-circle stationary point."""
-    found = rotation_candidates(acc)
-    if not found:
-        raise DegenerateGeometry("no multiplier root admits a unit-circle solution")
-    return found[0]
-
-
 def _terms(rows: Sequence[_Row], s: float, c: float) -> list[tuple[float, float]]:
     # MatchedPair already guarantees the vertical coordinates are usable
     return [
         (X * (r - (c - xr * s)), X * ((x - xr) * c - (x * xr + 1.0) * s))
         for x, _, xr, _, X, r in rows
     ]
-
-
-def translation_terms(p: MatchedPair, r: RotationEstimate) -> tuple[float, float]:
-    """Per-feature right-hand sides of the translation least squares."""
-    return _terms(_rows([p]), r.sin_theta, r.cos_theta)[0]
 
 
 def _translation(

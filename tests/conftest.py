@@ -1,6 +1,7 @@
 """Shared fixtures and scene builders for the test suite."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,7 +13,33 @@ from servopark.geometry import (
     PlanarTransform,
     transform_point,
 )
-from servopark.pose_estimator import MatchedPair, pair_coeffs
+from servopark.pose_estimator import MatchedPair
+
+
+@dataclass(frozen=True)
+class PairCoeffs:
+    a: float
+    b: float
+    c: float
+
+
+def pair_coeffs(p_i, p_j):
+    """Rotation constraint coefficients for one unordered feature pair.
+
+    The per-pair reference for ``pose_estimator.accumulate``, whose inlined
+    loop evaluates these expressions in this order, so the sums agree bit
+    for bit.
+    """
+    xi, yi = p_i.cur.x, p_i.cur.y
+    xj, yj = p_j.cur.x, p_j.cur.y
+    xi_r, yi_r = p_i.ref.x, p_i.ref.y
+    xj_r, yj_r = p_j.ref.x, p_j.ref.y
+    ri = yi_r / yi
+    rj = yj_r / yj
+    a = ri * (xi * xj_r + 1.0) - rj * (xi_r * xj + 1.0)
+    b = ri * (xj_r - xi) - rj * (xi_r - xj)
+    c = (yi_r * yj_r) / (yi * yj) * (xi - xj) + (xi_r - xj_r)
+    return PairCoeffs(a, b, c)
 
 
 def random_scene(rng, n_min=5, n_max=20, max_angle=math.pi / 3, max_trans=2.0):

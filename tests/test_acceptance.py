@@ -31,7 +31,7 @@ from servopark.parking_controller import (
     compute_gains,
     riccati_residual,
 )
-from servopark.pose_estimator import accumulate, estimate_pose, estimate_rotation
+from servopark.pose_estimator import accumulate, estimate_pose, rotation_candidates
 
 WIDE_CAMERA = CameraIntrinsics(160.0, 160.0, 400.0, 160.0, 800, 320, 0.1)
 
@@ -93,7 +93,7 @@ def test_criterion_03_rotation_grid_optimality(rng):
     t0 = time.perf_counter()
     for _ in range(100):
         g, pairs = random_scene(rng)
-        r = estimate_rotation(accumulate(pairs))
+        r = rotation_candidates(accumulate(pairs))[0]
         mine = rotation_cost_of(pairs, r.sin_theta, r.cos_theta)
         best, _ = grid_cost_min(pairs)
         worst_gap = max(worst_gap, mine - best)

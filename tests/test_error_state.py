@@ -13,14 +13,13 @@ from servopark.error_state import (
     ChainedInput,
     ChainedState,
     ErrorState,
-    error_from_features,
     error_from_transform,
     inputs_to_twist,
     to_chained,
-    twist_to_inputs,
 )
 from servopark.errors import DegenerateFeature, ZeroAnchorDepth
 from servopark.geometry import (
+    Y_TOL,
     FeaturePoint3,
     NormalizedFeature,
     PlanarTransform,
@@ -31,6 +30,27 @@ from servopark.parking_controller import ControlDecision, U0Branch, U1Branch
 
 small_angles = st.floats(-1.0, 1.0, allow_nan=False)
 offsets = st.floats(-1.5, 1.5, allow_nan=False)
+
+
+def error_from_features(current, reference, angle):
+    """(x_e, y_e) from one matched feature and the rotation angle.
+
+    ``angle`` is the angle of the feature-map rotation, which equals minus
+    the transform angle phi under the package's frame convention.  The
+    result is independent of which feature is used; the transform-based
+    construction is the oracle for that claim.
+    """
+    if abs(current.y) < Y_TOL or abs(reference.y) < Y_TOL:
+        raise DegenerateFeature("vertical normalized coordinate too close to zero")
+    s, c = math.sin(angle), math.cos(angle)
+    x_e = 1.0 / current.y - (s * reference.x + c) / reference.y
+    y_e = current.x / current.y - (c * reference.x - s) / reference.y
+    return (x_e, y_e)
+
+
+def twist_to_inputs(t, z, anchor):
+    """The chained-input definition: u0 = omega, u1 = v / Z* - z1 omega."""
+    return ChainedInput(t.omega, t.v / anchor.Z_star - z.z1 * t.omega)
 
 
 def _feature_pair(g, X, Y, Z):

@@ -29,16 +29,13 @@ from servopark.pose_estimator import (
     RotationEstimate,
     accumulate,
     estimate_pose,
-    estimate_rotation,
     estimate_translation,
-    pair_coeffs,
     quartic_coeffs,
     rotation_candidates,
     solve_quartic,
-    translation_terms,
 )
 
-from conftest import board_scene, grid_cost_min, random_scene, rotation_cost_of
+from conftest import board_scene, grid_cost_min, pair_coeffs, random_scene, rotation_cost_of
 
 # The 160 px-focal camera of acceptance criterion 8: the default six-point
 # board stays in view along the whole of every built-in case.
@@ -51,6 +48,17 @@ def _identity_pairs():
         MatchedPair(NormalizedFeature(0.1, 0.2), NormalizedFeature(0.1, 0.2), 3.0),
         MatchedPair(NormalizedFeature(-0.3, 0.25), NormalizedFeature(-0.3, 0.25), 2.0),
     ]
+
+
+def _translation_terms(p, r):
+    """Per-feature right-hand sides (d, e) of the translation least squares.
+
+    The per-feature reference for ``pose_estimator._terms``: the same
+    expressions, so the terms agree bit for bit.
+    """
+    x, xr, X, ratio = p.cur.x, p.ref.x, p.X_star, p.ref.y / p.cur.y
+    s, c = r.sin_theta, r.cos_theta
+    return (X * (ratio - (c - xr * s)), X * ((x - xr) * c - (x * xr + 1.0) * s))
 
 
 def _pose_bits(est):
@@ -264,14 +272,14 @@ class TestSolveQuartic:
 class TestEstimateRotation:
     def test_identity_scene(self):
         acc = accumulate(_identity_pairs())
-        r = estimate_rotation(acc)
+        r = rotation_candidates(acc)[0]
         assert r.sin_theta == pytest.approx(0.0, abs=1e-9)
         assert r.cos_theta == pytest.approx(1.0, abs=1e-9)
 
     def test_unit_circle_invariant(self, rng):
         for _ in range(50):
             g, pairs = random_scene(rng)
-            r = estimate_rotation(accumulate(pairs))
+            r = rotation_candidates(accumulate(pairs))[0]
             assert r.sin_theta**2 + r.cos_theta**2 == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("phi", [0.3, -math.pi / 4.0, 0.0, 1.0])
@@ -291,14 +299,14 @@ class TestEstimateRotation:
                     X,
                 )
             )
-        r = estimate_rotation(accumulate(built))
+        r = rotation_candidates(accumulate(built))[0]
         assert r.sin_theta == pytest.approx(math.sin(phi), abs=1e-9)
         assert r.cos_theta == pytest.approx(math.cos(phi), abs=1e-9)
 
     def test_grid_optimality(self, rng):
         for _ in range(30):
             g, pairs = random_scene(rng)
-            r = estimate_rotation(accumulate(pairs))
+            r = rotation_candidates(accumulate(pairs))[0]
             mine = rotation_cost_of(pairs, r.sin_theta, r.cos_theta)
             best, _ = grid_cost_min(pairs)
             assert mine <= best + 1e-12
@@ -328,21 +336,21 @@ class TestTranslation:
     def test_terms_identity(self):
         p = _identity_pairs()[0]
         r = RotationEstimate(0.0, 1.0, 0.0, 0.0)
-        assert translation_terms(p, r) == (0.0, 0.0)
+        assert _translation_terms(p, r) == (0.0, 0.0)
 
     def test_terms_scale_with_depth(self):
         r = RotationEstimate(math.sin(0.2), math.cos(0.2), 0.0, 0.0)
         p1 = MatchedPair(NormalizedFeature(0.15, 0.25), NormalizedFeature(0.1, 0.2), 3.0)
         p2 = MatchedPair(NormalizedFeature(0.15, 0.25), NormalizedFeature(0.1, 0.2), 6.0)
-        d1, e1 = translation_terms(p1, r)
-        d2, e2 = translation_terms(p2, r)
+        d1, e1 = _translation_terms(p1, r)
+        d2, e2 = _translation_terms(p2, r)
         assert d2 == pytest.approx(2.0 * d1, rel=1e-12)
         assert e2 == pytest.approx(2.0 * e1, rel=1e-12)
 
     def test_synthetic_translation(self, rng):
         for _ in range(30):
             g, pairs = random_scene(rng)
-            r = estimate_rotation(accumulate(pairs))
+            r = rotation_candidates(accumulate(pairs))[0]
             t_x, t_y = estimate_translation(pairs, r)
             assert t_x == pytest.approx(g.t_x, abs=1e-8)
             assert t_y == pytest.approx(g.t_y, abs=1e-8)
@@ -645,7 +653,7 @@ def _key_every_candidate(pairs):
             continue
         resid = 0.0
         for p in ordered:
-            d, e = translation_terms(p, rot)
+            d, e = _translation_terms(p, rot)
             resid += (d - t_x) ** 2 + (e + p.cur.x * t_x - t_y) ** 2
         key = (rot.residual + resid, math.atan2(rot.sin_theta, rot.cos_theta))
         if best_key is None or key < best_key:

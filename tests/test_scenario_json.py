@@ -1,5 +1,6 @@
 """Scenario files: the fail-closed JSON parser and its path-qualified messages."""
 
+import ast
 import json
 import os
 import re
@@ -8,6 +9,7 @@ import sys
 
 import pytest
 
+import servopark
 from servopark.cli import scenario_from_dict
 from servopark.closed_loop_sim import ConvergenceSpec, GoalUpdate, PerceptionMode, Scenario
 from servopark.errors import ConfigError
@@ -154,6 +156,23 @@ def test_readme_example_parses():
         anchor_index=None,
         goal_updates=(GoalUpdate(10.0, Pose2(6.0, 4.5, 0.2)),),
     )
+
+
+def test_readme_library_example_runs():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
+        readme = f.read()
+    section = readme.split("## Library", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "servopark"
+        for alias in node.names
+    }
+    assert set(servopark.__all__) == imported
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["summary"].converged
 
 
 @pytest.mark.parametrize("hash_seed", ["1", "3"])
