@@ -12,6 +12,7 @@ import sys
 import numpy as np
 
 from servopark.closed_loop_sim import PerceptionMode, Scenario, generate_observations
+from servopark.errors import DegenerateGeometry, InsufficientFeatures, NumericalFailure
 from servopark.geometry import CameraIntrinsics, Pose2, relative_transform, wrap_angle
 from servopark.pose_estimator import estimate_pose
 
@@ -63,8 +64,8 @@ def main(argv=None):
                 continue
             try:
                 est = estimate_pose(pairs)
-            except Exception:
-                continue
+            except (InsufficientFeatures, DegenerateGeometry, NumericalFailure):
+                continue  # no estimate, as a starved sample of the closed loop
             ang_errs.append(abs(wrap_angle(est.transform.phi - truth.phi)))
             trans_errs.append(
                 math.hypot(est.transform.t_x - truth.t_x, est.transform.t_y - truth.t_y)

@@ -159,7 +159,8 @@ class Scenario:
             0 <= self.anchor_index < len(self.object_features)
         ):
             raise InvalidParams("anchor_index out of range")
-        if not math.isfinite(self.t_max / self.dt):
+        # run() divides both t_max and the quiet window by dt
+        if not math.isfinite(max(self.t_max, QUIET_WINDOW_SECONDS) / self.dt):
             raise InvalidParams("t_max / dt must be a finite step count")
 
     def anchor(self) -> AnchorDepth:
@@ -267,7 +268,12 @@ def generate_observations(
     return pairs
 
 
-def _sample_in_tolerance(s: TrajectorySample, spec: ConvergenceSpec, z_scale: float) -> bool:
+def _sample_in_tolerance(
+    s: TrajectorySample, spec: ConvergenceSpec, z_scale: float, t_settle: float
+) -> bool:
+    # samples before the last applied goal update were aimed at an old goal
+    if s.t + 1e-12 < t_settle:
+        return False
     pos_err = z_scale * math.hypot(s.z.z1, s.z.z2)
     ang_err = abs(s.z.z0)
     quiet = abs(s.twist.v) < TWIST_QUIET and abs(s.twist.omega) < TWIST_QUIET
@@ -278,20 +284,32 @@ def _quiet_window(dt: float) -> int:
     return max(1, round(QUIET_WINDOW_SECONDS / dt))
 
 
+def _step_count(scenario: Scenario) -> int:
+    return math.floor(scenario.t_max / scenario.dt + 1e-9)
+
+
+def _settle_time(scenario: Scenario) -> float:
+    """Time of the last goal update that run() applies, or 0: convergence counts from there."""
+    t_end = _step_count(scenario) * scenario.dt
+    return max((u.t for u in scenario.goal_updates if u.t <= t_end + 1e-12), default=0.0)
+
+
 def run(scenario: Scenario) -> tuple[list[TrajectorySample], RunSummary]:
     """Simulate until convergence or t_max; returns the full log and summary.
 
     Convergence is declared at the first sample completing one second of
     consecutive in-tolerance, quiet-twist samples, judged on the true state
-    and the commanded (post-clamp) twist.  In estimated mode a sample with
-    no usable estimate holds the previous twist, with that decision's
-    in_gamma; a starvation streak longer than the limit aborts the run.
+    and the commanded (post-clamp) twist, counted from the last goal update
+    the run applies.  In estimated mode a sample with no usable estimate
+    holds the previous twist, with that decision's in_gamma; a starvation
+    streak longer than the limit aborts the run.
     """
     gains = compute_gains(scenario.controller)
     anchor = scenario.anchor()
     z_scale = abs(anchor.Z_star)
     window = _quiet_window(scenario.dt)
-    n_steps = math.floor(scenario.t_max / scenario.dt + 1e-9)
+    t_settle = _settle_time(scenario)
+    n_steps = _step_count(scenario)
     updates = sorted(scenario.goal_updates, key=lambda u: u.t)
 
     pose = scenario.initial_pose
@@ -346,9 +364,7 @@ def run(scenario: Scenario) -> tuple[list[TrajectorySample], RunSummary]:
             twist, decision = controller_step(
                 z_ctrl, gains, scenario.controller, scenario.limits, anchor, scenario.dt
             )
-            u, in_gamma = decision.u, decision.in_gamma
-            # _value_ is what Enum.value returns, without the descriptor call
-            u0_branch, u1_branch = decision.u0_branch._value_, decision.u1_branch._value_
+            u, u0_branch, u1_branch, in_gamma = decision
         sample = TrajectorySample(
             t,
             pose,
@@ -363,7 +379,8 @@ def run(scenario: Scenario) -> tuple[list[TrajectorySample], RunSummary]:
             visible,
         )
         samples.append(sample)
-        streak = streak + 1 if _sample_in_tolerance(sample, scenario.convergence, z_scale) else 0
+        in_tol = _sample_in_tolerance(sample, scenario.convergence, z_scale, t_settle)
+        streak = streak + 1 if in_tol else 0
         if streak >= window or k == n_steps:
             break
         pose = integrate_unicycle(pose, twist, scenario.dt)
@@ -382,6 +399,7 @@ def summarize(samples: list[TrajectorySample], scenario: Scenario) -> RunSummary
         raise EmptyLog("cannot summarize an empty trajectory log")
     z_scale = abs(scenario.anchor().Z_star)
     window = _quiet_window(scenario.dt)
+    t_settle = _settle_time(scenario)
     streak = 0
     converged = False
     t_converge: float | None = None
@@ -395,7 +413,8 @@ def summarize(samples: list[TrajectorySample], scenario: Scenario) -> RunSummary
         max_abs_v = max(max_abs_v, abs(s.twist.v))
         max_abs_omega = max(max_abs_omega, abs(s.twist.omega))
         peak_z0z1 = max(peak_z0z1, abs(s.z.z0) + abs(s.z.z1))
-        streak = streak + 1 if _sample_in_tolerance(s, scenario.convergence, z_scale) else 0
+        in_tol = _sample_in_tolerance(s, scenario.convergence, z_scale, t_settle)
+        streak = streak + 1 if in_tol else 0
         if not converged and streak >= window:
             converged = True
             t_converge = s.t

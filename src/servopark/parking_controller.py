@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 from .error_state import AnchorDepth, BodyTwist, ChainedInput, ChainedState, inputs_to_twist
@@ -84,22 +83,10 @@ class ControllerGains:
     P3: float
 
 
-class U0Branch(Enum):
-    CUBE_ROOT = "cube_root"
-    IN_GAMMA = "in_gamma"
-    RATIO_LAW = "ratio_law"
-
-
-class U1Branch(Enum):
-    CUBE_ROOT = "cube_root"
-    KAPPA2 = "kappa2"
-    RICCATI_LAW = "riccati_law"
-
-
 class ControlDecision(NamedTuple):
     u: ChainedInput
-    u0_branch: U0Branch
-    u1_branch: U1Branch
+    u0_branch: str  # "cube_root", "in_gamma" or "ratio_law"
+    u1_branch: str  # "cube_root", "kappa2" or "riccati_law"
     in_gamma: bool
 
 
@@ -185,11 +172,11 @@ def control_u0(
     law (0 for the continuous-time law).
     """
     if abs(z.z1) <= EPS_STATE and abs(z.z2) <= EPS_STATE:
-        return -implicit_cbrt(z.z0, dt), U0Branch.CUBE_ROOT
+        return -implicit_cbrt(z.z0, dt), "cube_root"
     if in_gamma:
-        return -p.kappa0 * z.z0, U0Branch.IN_GAMMA
+        return -p.kappa0 * z.z0, "in_gamma"
     psi = z.z2 if abs(z.z2) > EPS_STATE else _sign(z.z0 * z.z1)
-    return -g.kappa1 * z.z1 / psi, U0Branch.RATIO_LAW
+    return -g.kappa1 * z.z1 / psi, "ratio_law"
 
 
 def control_u1(
@@ -197,10 +184,10 @@ def control_u1(
 ):
     """Second chained input, given the already-computed u0 and hold time dt."""
     if abs(z.z1) <= EPS_STATE and abs(z.z0) <= EPS_STATE:
-        return -implicit_cbrt(z.z2, dt), U1Branch.CUBE_ROOT
+        return -implicit_cbrt(z.z2, dt), "cube_root"
     if abs(u0) <= EPS_INPUT:
-        return -p.kappa2 * z.z2, U1Branch.KAPPA2
-    return -(g.P2 / u0) * z.z1 - g.P3 * z.z2, U1Branch.RICCATI_LAW
+        return -p.kappa2 * z.z2, "kappa2"
+    return -(g.P2 / u0) * z.z1 - g.P3 * z.z2, "riccati_law"
 
 
 def step(

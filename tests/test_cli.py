@@ -389,11 +389,13 @@ class TestBoundaryRefusals:
              "t_max / dt must be a finite step count"),
             (None, ["cases", "--dt", "1e-300", "--t-max", "1e10"],
              "t_max / dt must be a finite step count"),
+            (None, ["run", "--case", "case1", "--dt", "1e-320", "--t-max", "1e-310"],
+             "t_max / dt must be a finite step count"),
         ],
         ids=[
             "json_inf", "json_minus_inf", "json_overflow", "json_huge_int", "json_nan",
             "run_t_max", "run_noise", "cases_t_max", "gen_noise", "gen_theta", "gen_ty",
-            "json_step_count", "run_step_count", "cases_step_count",
+            "json_step_count", "run_step_count", "cases_step_count", "run_quiet_window",
         ],
     )
     def test_non_finite_number_refused(self, tmp_path, scenario, argv, message):

@@ -160,6 +160,16 @@ class TestGenerateObservations:
         assert [p.ref.x for p in pairs] == [f.Y_star / f.X_star for f in board]
 
 
+# Holds six samples near t = 34 s, after decisions outside Gamma.
+_NOISY_CASE1 = dataclasses.replace(
+    case_scenarios()["case1"],
+    perception_mode=PerceptionMode.ESTIMATED,
+    pixel_noise_sigma=0.5,
+    rng_seed=7,
+    t_max=35.0,
+)
+
+
 class TestRunBasics:
     def test_deterministic_exact(self):
         sc = corridor_scenario(
@@ -230,14 +240,7 @@ class TestRunBasics:
                 intrinsics=CameraIntrinsics(460.0, 460.0, -5000.0, 240.0, 640, 480, 0.1),
                 t_max=3.0,
             ),
-            # six held samples near t = 34 s, after decisions outside Gamma
-            dataclasses.replace(
-                case_scenarios()["case1"],
-                perception_mode=PerceptionMode.ESTIMATED,
-                pixel_noise_sigma=0.5,
-                rng_seed=7,
-                t_max=35.0,
-            ),
+            _NOISY_CASE1,
         ],
         ids=["blind", "case1_noisy"],
     )
@@ -252,6 +255,17 @@ class TestRunBasics:
             else:
                 decided = s.in_gamma
         assert held > 0
+
+    def test_log_holds_only_the_documented_labels(self, case_runs):
+        logs = [samples for samples, _ in case_runs.values()] + [run(_NOISY_CASE1)[0]]
+        pairs = {(s.u0_branch, s.u1_branch) for samples in logs for s in samples}
+        u0_labels = {u0 for u0, _ in pairs}
+        u1_labels = {u1 for _, u1 in pairs}
+        assert u0_labels <= {"cube_root", "in_gamma", "ratio_law", "held"}
+        assert u1_labels <= {"cube_root", "kappa2", "riccati_law", "held"}
+        # a held sample evaluates neither law
+        assert ("held", "held") in pairs
+        assert all((u0 == "held") == (u1 == "held") for u0, u1 in pairs)
 
 
 class TestCallShapes:
@@ -346,6 +360,20 @@ class TestGoalUpdates:
         assert math.hypot(rel.t_x, rel.t_y) == pytest.approx(
             summary.final_pos_err, abs=1e-9
         )
+
+    def test_jump_after_convergence_is_reparked(self):
+        # case1 alone converges at t = 52.5 s; the object then moves 1 m along its axis
+        new_goal = Pose2(6.0, 5.0, 0.0)
+        sc = dataclasses.replace(
+            case_scenarios()["case1"], goal_updates=(GoalUpdate(70.0, new_goal),)
+        )
+        samples, summary = run(sc)
+        assert samples[-1].t > 70.0
+        assert summary.converged and summary.t_converge > 70.0
+        rel = relative_transform(samples[-1].pose, new_goal)
+        assert math.hypot(rel.t_x, rel.t_y) < 1e-6
+        assert abs(rel.phi) < 1e-6
+        assert summarize(samples, sc) == summary
 
 
 class TestInvariantSetStaysInvariant:

@@ -26,7 +26,7 @@ from servopark.geometry import (
     Pose2,
     transform_point,
 )
-from servopark.parking_controller import ControlDecision, U0Branch, U1Branch
+from servopark.parking_controller import ControlDecision
 
 small_angles = st.floats(-1.0, 1.0, allow_nan=False)
 offsets = st.floats(-1.5, 1.5, allow_nan=False)
@@ -195,10 +195,9 @@ _VALUES = [
     (BodyTwist(1.0, 2.0), "BodyTwist(v=1.0, omega=2.0)"),
     (PlanarTransform(1.0, 2.0, 3.0), "PlanarTransform(phi=1.0, t_x=2.0, t_y=3.0)"),
     (
-        ControlDecision(ChainedInput(1.0, 2.0), U0Branch.IN_GAMMA, U1Branch.KAPPA2, True),
+        ControlDecision(ChainedInput(1.0, 2.0), "in_gamma", "kappa2", True),
         "ControlDecision(u=ChainedInput(u0=1.0, u1=2.0),"
-        " u0_branch=<U0Branch.IN_GAMMA: 'in_gamma'>,"
-        " u1_branch=<U1Branch.KAPPA2: 'kappa2'>, in_gamma=True)",
+        " u0_branch='in_gamma', u1_branch='kappa2', in_gamma=True)",
     ),
     (
         TrajectorySample(

@@ -28,3 +28,15 @@ def test_script_runs(capsys, name, argv, first_column):
     assert lines[0].split()[0] == first_column
     assert set(lines[1]) == {"-"}
     assert len(lines) == 3
+
+
+def test_noise_sweep_propagates_programming_errors(monkeypatch):
+    # only "no estimate" errors shrink the sample; anything else is a bug
+    module = _load("noise_sweep")
+
+    def broken(pairs):
+        raise TypeError("broken estimator")
+
+    monkeypatch.setattr(module, "estimate_pose", broken)
+    with pytest.raises(TypeError, match="broken estimator"):
+        module.main(["--sigmas", "0", "--trials", "5"])
