@@ -19,6 +19,18 @@ from servopark.pose_estimator import estimate_pose
 WIDE_CAMERA = CameraIntrinsics(160.0, 160.0, 400.0, 160.0, 800, 320, 0.1)
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
+def _percentile(values, q):
+    # a level at which no trial gave an estimate has no percentiles
+    return np.percentile(values, q) if len(values) else math.nan
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument(
@@ -28,7 +40,7 @@ def main(argv=None):
         default=[0.0, 0.25, 0.5, 1.0, 2.0],
         help="pixel noise standard deviations to sweep",
     )
-    ap.add_argument("--trials", type=int, default=200)
+    ap.add_argument("--trials", type=_positive_int, default=200)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
 
@@ -73,9 +85,9 @@ def main(argv=None):
         a = np.asarray(ang_errs)
         t = np.asarray(trans_errs)
         print(
-            f"{sigma:9.2f} {len(a):5d} {np.percentile(a, 50):10.3e} "
-            f"{np.percentile(a, 90):10.3e} {np.percentile(t, 50):10.3e} "
-            f"{np.percentile(t, 90):10.3e}"
+            f"{sigma:9.2f} {len(a):5d} {_percentile(a, 50):10.3e} "
+            f"{_percentile(a, 90):10.3e} {_percentile(t, 50):10.3e} "
+            f"{_percentile(t, 90):10.3e}"
         )
     return 0
 

@@ -74,7 +74,7 @@ class PerceptionMode(Enum):
     ESTIMATED = "estimated"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConvergenceSpec:
     """Configuration, so a dataclass, like Scenario."""
 
@@ -86,7 +86,7 @@ class ConvergenceSpec:
             raise InvalidParams("convergence tolerances must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GoalUpdate:
     """Timed re-placement of the object: the goal pose jumps at time t.
 
@@ -113,7 +113,7 @@ def default_object_features() -> tuple[FeaturePoint3, ...]:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scenario:
     """One run's configuration.
 
@@ -185,7 +185,7 @@ class TrajectorySample(NamedTuple):
     visible_count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunSummary:
     """A dataclass: ``asdict`` gives the summary JSON, in field order."""
 
@@ -252,14 +252,17 @@ def generate_observations(
     noise = None
     if scenario.pixel_noise_sigma > 0.0:
         rng = np.random.default_rng([scenario.rng_seed & 0xFFFFFFFFFFFFFFFF, step])
-        noise = rng.normal(0.0, scenario.pixel_noise_sigma, size=(len(scenario.object_features), 2))
+        # as Python floats: numpy scalars would carry into every estimator float
+        noise = rng.normal(
+            0.0, scenario.pixel_noise_sigma, size=(len(scenario.object_features), 2)
+        ).tolist()
     pairs: list[MatchedPair] = []
     for i, f in enumerate(scenario.object_features):
         pixel = project(transform_point(g, f), K)
         if pixel is None:
             continue
         if noise is not None:
-            pixel = (pixel[0] + noise[i, 0], pixel[1] + noise[i, 1])
+            pixel = (pixel[0] + noise[i][0], pixel[1] + noise[i][1])
         ref = NormalizedFeature(f.Y_star / f.X_star, f.Z_star / f.X_star)
         try:
             pairs.append(MatchedPair(normalize(pixel, K), ref, f.X_star))

@@ -53,7 +53,7 @@ class BodyTwist(NamedTuple):
     omega: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnchorDepth:
     """Height Z* of the anchor feature; constant under planar motion."""
 

@@ -36,7 +36,7 @@ def wrap_angle(theta: float) -> float:
     return wrapped
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pose2:
     """Planar pose (x, y, theta) of a frame expressed in a parent frame.
 
@@ -77,7 +77,7 @@ class PlanarTransform(NamedTuple):
     t_y: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CameraIntrinsics:
     """Configuration, so a dataclass, like Scenario."""
 
@@ -103,7 +103,7 @@ DEFAULT_INTRINSICS = CameraIntrinsics(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeaturePoint3:
     """An object feature in goal-frame coordinates.
 
@@ -124,7 +124,7 @@ class FeaturePoint3:
             raise InvalidParams("feature height Z_star must be nonzero")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormalizedFeature:
     """Image coordinates after removing the intrinsics: x = Y/X, y = Z/X."""
 

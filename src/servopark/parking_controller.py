@@ -44,7 +44,7 @@ EPS_STATE = 1e-6
 EPS_INPUT = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ControllerParams:
     """Configuration, so a dataclass, like Scenario."""
 
@@ -73,7 +73,7 @@ PROPOSED_PARAMS = ControllerParams(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ControllerGains:
     gamma: float
     zeta: float
@@ -90,7 +90,7 @@ class ControlDecision(NamedTuple):
     in_gamma: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwistLimits:
     """Configuration, so a dataclass, like Scenario."""
 

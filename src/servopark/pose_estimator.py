@@ -39,7 +39,7 @@ from .geometry import Y_TOL, NormalizedFeature, PlanarTransform, cbrt_signed
 MAX_FEATURES = 64  # reject rather than silently subsample
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchedPair:
     """One feature correspondence: current view, reference view, reference depth.
 
@@ -61,7 +61,7 @@ class MatchedPair:
 _Row = tuple[float, float, float, float, float, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormalAccumulators:
     """Sums of pair-constraint products over all unordered pairs.
 
@@ -82,7 +82,7 @@ class NormalAccumulators:
     rows: Sequence[_Row] = field(default=(), compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RotationEstimate:
     """A dataclass: bench/tests builds variants with ``dataclasses.replace``."""
 
@@ -92,7 +92,7 @@ class RotationEstimate:
     residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanarTransformEstimate:
     """A dataclass: bench/tests builds variants with ``dataclasses.replace``."""
 

@@ -139,6 +139,16 @@ class TestGenerateObservations:
         b = self._observe(sc, step=8)
         assert a != b
 
+    def test_noisy_pairs_and_estimate_are_python_floats(self):
+        sc = self._scenario(pixel_noise_sigma=0.5, rng_seed=7)
+        pairs = self._observe(sc, step=3)
+        assert len(pairs) >= 4
+        for p in pairs:
+            assert {type(v) for v in (p.cur.x, p.cur.y, p.ref.x, p.ref.y, p.X_star)} == {float}
+        est = estimate_pose(pairs)
+        values = (*est.transform, *dataclasses.astuple(est.rotation), est.translation_residual)
+        assert {type(v) for v in values} == {float}
+
     def test_zero_noise_skips_rng(self):
         sc1 = self._scenario(pixel_noise_sigma=0.0, rng_seed=1)
         sc2 = self._scenario(pixel_noise_sigma=0.0, rng_seed=2)

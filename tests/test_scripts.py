@@ -5,6 +5,8 @@ import os
 
 import pytest
 
+from servopark.errors import DegenerateGeometry
+
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
 
@@ -40,3 +42,22 @@ def test_noise_sweep_propagates_programming_errors(monkeypatch):
     monkeypatch.setattr(module, "estimate_pose", broken)
     with pytest.raises(TypeError, match="broken estimator"):
         module.main(["--sigmas", "0", "--trials", "5"])
+
+
+def test_noise_sweep_refuses_an_empty_trial_count():
+    with pytest.raises(SystemExit) as exc:
+        _load("noise_sweep").main(["--sigmas", "0", "--trials", "0"])
+    assert exc.value.code == 2
+
+
+def test_noise_sweep_reports_a_level_without_estimates(monkeypatch, capsys):
+    module = _load("noise_sweep")
+
+    def degenerate(pairs):
+        raise DegenerateGeometry("no estimate")
+
+    monkeypatch.setattr(module, "estimate_pose", degenerate)
+    assert module.main(["--sigmas", "0", "--trials", "2"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert len(rows) == 1
+    assert rows[0].split() == ["0.00", "0", "nan", "nan", "nan", "nan"]
