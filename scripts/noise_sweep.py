@@ -6,24 +6,27 @@ the camera model with Gaussian pixel noise, and reports the median and
 """
 
 import argparse
+import dataclasses
 import math
 import sys
 
 import numpy as np
 
-from servopark.closed_loop_sim import PerceptionMode, Scenario, generate_observations
-from servopark.errors import DegenerateGeometry, InsufficientFeatures, NumericalFailure
-from servopark.geometry import CameraIntrinsics, Pose2, relative_transform, wrap_angle
-from servopark.pose_estimator import estimate_pose
+from servopark.closed_loop_sim import Scenario, perceive
+from servopark.errors import InvalidParams
+from servopark.geometry import CameraIntrinsics, Pose2, relative_transform
 
 WIDE_CAMERA = CameraIntrinsics(160.0, 160.0, 400.0, 160.0, 800, 320, 0.1)
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
+def _int_at_least(low):
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return value
+
+    return parse
 
 
 def _percentile(values, q):
@@ -40,11 +43,16 @@ def main(argv=None):
         default=[0.0, 0.25, 0.5, 1.0, 2.0],
         help="pixel noise standard deviations to sweep",
     )
-    ap.add_argument("--trials", type=_positive_int, default=200)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--trials", type=_int_at_least(1), default=200)
+    ap.add_argument("--seed", type=_int_at_least(0), default=0)
     args = ap.parse_args(argv)
 
     goal = Pose2(5.0, 5.0, 0.0)
+    try:  # every level is checked before the table starts
+        levels = [Scenario(intrinsics=WIDE_CAMERA, pixel_noise_sigma=s) for s in args.sigmas]
+    except InvalidParams as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     rng = np.random.default_rng(args.seed)
     header = (
         f"{'sigma_px':>9s} {'used':>5s} {'ang p50':>10s} {'ang p90':>10s} "
@@ -52,7 +60,7 @@ def main(argv=None):
     )
     print(header)
     print("-" * len(header))
-    for sigma in args.sigmas:
+    for level in levels:
         ang_errs, trans_errs = [], []
         trial = 0
         while len(ang_errs) < args.trials and trial < 20 * args.trials:
@@ -62,30 +70,16 @@ def main(argv=None):
                 goal.y + float(rng.uniform(-1.0, 1.0)),
                 float(rng.uniform(-0.5, 0.5)),
             )
-            sc = Scenario(
-                initial_pose=pose,
-                goal_pose=goal,
-                intrinsics=WIDE_CAMERA,
-                perception_mode=PerceptionMode.ESTIMATED,
-                pixel_noise_sigma=sigma,
-                rng_seed=trial,
-            )
-            truth = relative_transform(pose, goal)
-            pairs = generate_observations(truth, sc, step=trial)
-            if len(pairs) < 4:
-                continue
-            try:
-                est = estimate_pose(pairs)
-            except (InsufficientFeatures, DegenerateGeometry, NumericalFailure):
+            sc = dataclasses.replace(level, rng_seed=trial)
+            est, used, ang_err, trans_err = perceive(relative_transform(pose, goal), sc, trial)
+            if est is None or used < 4:
                 continue  # no estimate, as a starved sample of the closed loop
-            ang_errs.append(abs(wrap_angle(est.transform.phi - truth.phi)))
-            trans_errs.append(
-                math.hypot(est.transform.t_x - truth.t_x, est.transform.t_y - truth.t_y)
-            )
+            ang_errs.append(ang_err)
+            trans_errs.append(trans_err)
         a = np.asarray(ang_errs)
         t = np.asarray(trans_errs)
         print(
-            f"{sigma:9.2f} {len(a):5d} {_percentile(a, 50):10.3e} "
+            f"{level.pixel_noise_sigma:9.2f} {len(a):5d} {_percentile(a, 50):10.3e} "
             f"{_percentile(a, 90):10.3e} {_percentile(t, 50):10.3e} "
             f"{_percentile(t, 90):10.3e}"
         )

@@ -58,7 +58,7 @@ from .parking_controller import (
     in_invariant_set,  # noqa: F401 -- not called; bench/tracing.py WRAPS looks it up here
 )
 from .parking_controller import step as controller_step
-from .pose_estimator import MatchedPair, estimate_pose
+from .pose_estimator import MAX_FEATURES, MatchedPair, PlanarTransformEstimate, estimate_pose
 
 # Convergence requires the twist to be this quiet for a full second, so a
 # fast crossing of the goal is not declared success.
@@ -153,8 +153,11 @@ class Scenario:
             raise InvalidParams("pixel_noise_sigma must be finite")
         if len(self.object_features) == 0:
             raise InvalidParams("at least one object feature is required")
-        if self.perception_mode is PerceptionMode.ESTIMATED and len(self.object_features) < 2:
-            raise InvalidParams("estimated perception needs at least two features")
+        if self.perception_mode is PerceptionMode.ESTIMATED:
+            if len(self.object_features) < 2:
+                raise InvalidParams("estimated perception needs at least two features")
+            if len(self.object_features) > MAX_FEATURES:
+                raise InvalidParams(f"estimated perception takes at most {MAX_FEATURES} features")
         if self.anchor_index is not None and not (
             0 <= self.anchor_index < len(self.object_features)
         ):
@@ -271,6 +274,25 @@ def generate_observations(
     return pairs
 
 
+def perceive(
+    g: PlanarTransform, scenario: Scenario, step: int = 0
+) -> tuple[PlanarTransformEstimate | None, int, float, float]:
+    """Observe the object through the true goal-to-camera map ``g`` and estimate it.
+
+    Returns the estimate, the number of usable features, and the estimate's
+    angle and translation errors against ``g``.  Too few features, or visible
+    but uninformative ones, give no estimate: None and NaN errors.  Any other
+    error propagates.
+    """
+    obs = generate_observations(g, scenario, step=step)
+    try:
+        est = estimate_pose(obs)
+    except (InsufficientFeatures, DegenerateGeometry, NumericalFailure):
+        return None, len(obs), math.nan, math.nan
+    e = est.transform
+    return est, len(obs), abs(wrap_angle(e.phi - g.phi)), math.hypot(e.t_x - g.t_x, e.t_y - g.t_y)
+
+
 def _sample_in_tolerance(
     s: TrajectorySample, spec: ConvergenceSpec, z_scale: float, t_settle: float
 ) -> bool:
@@ -339,12 +361,7 @@ def run(scenario: Scenario) -> tuple[list[TrajectorySample], RunSummary]:
         z_ctrl = z_true
         starved = False
         if estimated:
-            obs = generate_observations(g_true, scenario, step=k)
-            visible = len(obs)
-            try:
-                est = estimate_pose(obs)
-            except (InsufficientFeatures, DegenerateGeometry, NumericalFailure):
-                est = None  # too few features, or visible but uninformative
+            est, visible, est_angle_err, est_trans_err = perceive(g_true, scenario, step=k)
             starved = est is None
             if starved:
                 starve_streak += 1
@@ -356,10 +373,6 @@ def run(scenario: Scenario) -> tuple[list[TrajectorySample], RunSummary]:
             else:
                 starve_streak = 0
                 z_ctrl = to_chained(error_from_transform(est.transform, anchor))
-                est_angle_err = abs(wrap_angle(est.transform.phi - g_true.phi))
-                est_trans_err = math.hypot(
-                    est.transform.t_x - g_true.t_x, est.transform.t_y - g_true.t_y
-                )
 
         if starved:  # keep the previous twist and its in_gamma; no law is evaluated
             u, u0_branch, u1_branch = ChainedInput(math.nan, math.nan), _HELD, _HELD

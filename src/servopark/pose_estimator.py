@@ -191,7 +191,7 @@ def _quadratic_roots(b: float, c: float) -> list[float]:
     else:
         r1 = (-b + s) / 2.0
     if r1 == 0.0:
-        return [0.0] if disc == 0.0 else [0.0, -b]
+        return [0.0]  # r1 == 0 only when s == 0, that is disc == 0
     r2 = c / r1
     return [r1] if disc == 0.0 else [r1, r2]
 

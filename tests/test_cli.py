@@ -28,6 +28,11 @@ def _call(argv):
     return rc, out.getvalue(), err.getvalue()
 
 
+def _features_json(n, mode):
+    features = [{"X_star": 3.0, "Y_star": i / n - 0.5, "Z_star": 0.6} for i in range(n)]
+    return json.dumps({"perception_mode": mode, "object_features": features})
+
+
 def _corridor_config(tmp_path, **extra):
     goal = {"x": 1.0, "y": 2.0, "theta": 0.3}
     start = pose_for_chained_state(
@@ -391,11 +396,17 @@ class TestBoundaryRefusals:
              "t_max / dt must be a finite step count"),
             (None, ["run", "--case", "case1", "--dt", "1e-320", "--t-max", "1e-310"],
              "t_max / dt must be a finite step count"),
+            # the estimator takes at most 64 features
+            (_features_json(65, "estimated"), ["run"],
+             "estimated perception takes at most 64 features"),
+            (_features_json(65, "ground_truth"), ["run", "--perception", "estimated"],
+             "estimated perception takes at most 64 features"),
         ],
         ids=[
             "json_inf", "json_minus_inf", "json_overflow", "json_huge_int", "json_nan",
             "run_t_max", "run_noise", "cases_t_max", "gen_noise", "gen_theta", "gen_ty",
             "json_step_count", "run_step_count", "cases_step_count", "run_quiet_window",
+            "json_too_many_features", "run_too_many_features",
         ],
     )
     def test_non_finite_number_refused(self, tmp_path, scenario, argv, message):

@@ -16,6 +16,7 @@ from servopark.closed_loop_sim import (
     default_object_features,
     generate_observations,
     integrate_unicycle,
+    perceive,
     pose_for_chained_state,
     run,
     summarize,
@@ -28,7 +29,14 @@ from servopark.error_state import (
     error_from_transform,
     to_chained,
 )
-from servopark.errors import EmptyLog, EstimatorStarvation, InvalidParams
+from servopark.errors import (
+    DegenerateGeometry,
+    EmptyLog,
+    EstimatorStarvation,
+    InsufficientFeatures,
+    InvalidParams,
+    NumericalFailure,
+)
 from servopark.geometry import (
     Y_TOL,
     CameraIntrinsics,
@@ -170,6 +178,51 @@ class TestGenerateObservations:
         assert [p.ref.x for p in pairs] == [f.Y_star / f.X_star for f in board]
 
 
+class TestPerceive:
+    def _scenario(self):
+        return corridor_scenario(perception_mode=PerceptionMode.ESTIMATED, pixel_noise_sigma=0.3)
+
+    def test_errors_are_the_ones_a_run_logs(self):
+        sc = self._scenario()
+        samples, _ = run(dataclasses.replace(sc, t_max=0.5))
+        for k in (0, 50):
+            g = relative_transform(samples[k].pose, sc.goal_pose)
+            est, used, ang_err, trans_err = perceive(g, sc, step=k)
+            assert est is not None
+            assert (used, ang_err, trans_err) == (
+                samples[k].visible_count,
+                samples[k].est_angle_err,
+                samples[k].est_trans_err,
+            )
+            assert est == estimate_pose(generate_observations(g, sc, k))
+
+    @pytest.mark.parametrize("error", [InsufficientFeatures, DegenerateGeometry, NumericalFailure])
+    def test_no_estimate(self, monkeypatch, error):
+        import servopark.closed_loop_sim as sim
+
+        def failing(pairs):
+            raise error("no estimate")
+
+        monkeypatch.setattr(sim, "estimate_pose", failing)
+        sc = self._scenario()
+        g = relative_transform(sc.initial_pose, sc.goal_pose)
+        est, used, ang_err, trans_err = perceive(g, sc, step=3)
+        assert est is None
+        assert used == len(generate_observations(g, sc, 3)) == 6
+        assert math.isnan(ang_err) and math.isnan(trans_err)
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        import servopark.closed_loop_sim as sim
+
+        def broken(pairs):
+            raise TypeError("broken estimator")
+
+        monkeypatch.setattr(sim, "estimate_pose", broken)
+        sc = self._scenario()
+        with pytest.raises(TypeError, match="broken estimator"):
+            perceive(relative_transform(sc.initial_pose, sc.goal_pose), sc)
+
+
 # Holds six samples near t = 34 s, after decisions outside Gamma.
 _NOISY_CASE1 = dataclasses.replace(
     case_scenarios()["case1"],
@@ -276,6 +329,18 @@ class TestRunBasics:
         # a held sample evaluates neither law
         assert ("held", "held") in pairs
         assert all((u0 == "held") == (u1 == "held") for u0, u1 in pairs)
+
+
+class TestStepSize:
+    # The sampled-data cube root leaves no terminal cycle at any step size:
+    # a held -cbrt(z) would chatter at amplitude (dt/2)^1.5 instead.
+    @pytest.mark.parametrize("dt", [0.005, 0.01, 0.02, 0.05, 0.1, 0.2])
+    def test_ground_truth_cases_settle(self, dt):
+        for name, sc in case_scenarios().items():
+            _, summary = run(dataclasses.replace(sc, dt=dt))
+            assert summary.converged, name
+            assert summary.final_pos_err <= 1e-6, name
+            assert summary.final_ang_err <= 1e-9, name
 
 
 class TestCallShapes:
@@ -482,6 +547,13 @@ class TestScenarioValidation:
                 "estimated perception needs at least two features",
             ),
             (
+                lambda: Scenario(
+                    perception_mode=PerceptionMode.ESTIMATED,
+                    object_features=(default_object_features() * 11)[:65],
+                ),
+                "estimated perception takes at most 64 features",
+            ),
+            (
                 lambda: integrate_unicycle(Pose2(0.0, 0.0, 0.0), BodyTwist(1.0, 0.0), 0.0),
                 "dt must be positive",
             ),
@@ -495,6 +567,7 @@ class TestScenarioValidation:
         ],
         ids=[
             "convergence_spec", "goal_update_time", "no_features", "estimated_one_feature",
+            "estimated_too_many_features",
             "integrate_dt", "feature_depth", "feature_height", "twist_limits", "pair_depth",
         ],
     )

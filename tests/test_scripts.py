@@ -5,9 +5,15 @@ import os
 
 import pytest
 
+import servopark.closed_loop_sim as sim
 from servopark.errors import DegenerateGeometry
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+
+# one row per script: name, arguments of a short run, first header column
+SMOKE_ROWS = [
+    ("noise_sweep", ["--sigmas", "0", "--trials", "5"], "sigma_px"),
+]
 
 
 def _load(name):
@@ -17,13 +23,12 @@ def _load(name):
     return module
 
 
-@pytest.mark.parametrize(
-    "name,argv,first_column",
-    [
-        ("noise_sweep", ["--sigmas", "0", "--trials", "5"], "sigma_px"),
-        ("terminal_cycle_sweep", ["--dts", "0.02"], "dt"),
-    ],
-)
+def test_every_script_has_a_smoke_row():
+    names = sorted(f[: -len(".py")] for f in os.listdir(SCRIPTS) if f.endswith(".py"))
+    assert names == sorted(name for name, _, _ in SMOKE_ROWS)
+
+
+@pytest.mark.parametrize("name,argv,first_column", SMOKE_ROWS)
 def test_script_runs(capsys, name, argv, first_column):
     assert _load(name).main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -39,7 +44,7 @@ def test_noise_sweep_propagates_programming_errors(monkeypatch):
     def broken(pairs):
         raise TypeError("broken estimator")
 
-    monkeypatch.setattr(module, "estimate_pose", broken)
+    monkeypatch.setattr(sim, "estimate_pose", broken)
     with pytest.raises(TypeError, match="broken estimator"):
         module.main(["--sigmas", "0", "--trials", "5"])
 
@@ -50,13 +55,31 @@ def test_noise_sweep_refuses_an_empty_trial_count():
     assert exc.value.code == 2
 
 
+def test_noise_sweep_refuses_a_negative_seed():
+    with pytest.raises(SystemExit) as exc:
+        _load("noise_sweep").main(["--sigmas", "0", "--seed", "-1"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "sigmas",
+    [["-1"], ["0.25", "-1"]],
+    ids=["only_level", "after_a_good_level"],
+)
+def test_noise_sweep_refuses_a_negative_level(capsys, sigmas):
+    # every level is checked before the header, so no partial table is left
+    assert _load("noise_sweep").main(["--sigmas", *sigmas, "--trials", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: pixel_noise_sigma must be nonnegative\n")
+
+
 def test_noise_sweep_reports_a_level_without_estimates(monkeypatch, capsys):
     module = _load("noise_sweep")
 
     def degenerate(pairs):
         raise DegenerateGeometry("no estimate")
 
-    monkeypatch.setattr(module, "estimate_pose", degenerate)
+    monkeypatch.setattr(sim, "estimate_pose", degenerate)
     assert module.main(["--sigmas", "0", "--trials", "2"]) == 0
     rows = capsys.readouterr().out.splitlines()[2:]
     assert len(rows) == 1
