@@ -15,9 +15,10 @@ before any summation, so permuting the input list cannot change a single
 bit of the output.  Each call unpacks every pair once, in that order, into
 a plain tuple (x, y, x_ref, y_ref, X_star, y_ref / y): ``accumulate`` sums
 over those tuples and hands them on with its sums, so the translation
-stage of ``estimate_pose`` runs over the same tuples.  The inlined loop of
-``accumulate`` reproduces, bit for bit, the per-pair coefficient reference
-kept in tests/conftest.py; ``_translation`` inlines the per-feature
+stage of ``estimate_pose`` runs over the same tuples.  ``accumulate`` sums
+with an inlined loop below ``_VECTOR_MIN`` features and with numpy from
+there on; both reproduce, bit for bit, the per-pair coefficient reference
+kept in tests/conftest.py.  ``_translation`` inlines the per-feature
 expressions of ``_terms``.
 """
 
@@ -26,6 +27,10 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import chain
+
+import numpy as np
 
 from .errors import (
     DegenerateFeature,
@@ -37,6 +42,9 @@ from .errors import (
 from .geometry import Y_TOL, NormalizedFeature, PlanarTransform, cbrt_signed
 
 MAX_FEATURES = 64  # reject rather than silently subsample
+# from this many features accumulate sums with numpy; below it numpy's fixed
+# cost of 20-30 us a call loses to the loop (per-n timings in CHANGES.md)
+_VECTOR_MIN = 14
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,10 +59,18 @@ class MatchedPair:
     X_star: float
 
     def __post_init__(self) -> None:
-        if abs(self.cur.y) < Y_TOL or abs(self.ref.y) < Y_TOL:
+        cur, ref = self.cur, self.ref
+        if not (
+            math.isfinite(cur.x)
+            and math.isfinite(cur.y)
+            and math.isfinite(ref.x)
+            and math.isfinite(ref.y)
+        ):
+            raise InvalidParams("normalized coordinates must be finite")
+        if abs(cur.y) < Y_TOL or abs(ref.y) < Y_TOL:
             raise DegenerateFeature("vertical normalized coordinate too close to zero")
-        if not self.X_star > 0.0:
-            raise InvalidParams("reference depth must be positive")
+        if not 0.0 < self.X_star < math.inf:
+            raise InvalidParams("reference depth must be positive and finite")
 
 
 # One matched pair, unpacked: (x, y, x_ref, y_ref, X_star, y_ref / y).
@@ -114,6 +130,9 @@ def accumulate(pairs: list[MatchedPair]) -> NormalAccumulators:
     if len(pairs) < 2:
         raise InsufficientFeatures("at least two matched features are required")
     rows = _rows(pairs)
+    n_pairs = len(rows) * (len(rows) - 1) // 2
+    if len(rows) >= _VECTOR_MIN:
+        return NormalAccumulators(*_vector_sums(rows), n_pairs, rows)
     a1 = a2 = a3 = b1 = b2 = c_sq = 0.0
     for i, (xi, yi, xi_r, yi_r, _, ri) in enumerate(rows):
         for xj, yj, xj_r, yj_r, _, rj in rows[i + 1:]:
@@ -127,7 +146,35 @@ def accumulate(pairs: list[MatchedPair]) -> NormalAccumulators:
             b1 -= a * c
             b2 -= b * c
             c_sq += c * c
-    return NormalAccumulators(a1, a2, a3, b1, b2, c_sq, len(rows) * (len(rows) - 1) // 2, rows)
+    return NormalAccumulators(a1, a2, a3, b1, b2, c_sq, n_pairs, rows)
+
+
+@cache
+def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices (i, j) of every pair i < j of n rows, in the loop's order."""
+    return np.triu_indices(n, 1)
+
+
+def _vector_sums(rows: list[_Row]) -> list[float]:
+    """The six sums of the loop in ``accumulate``, from numpy, bit for bit.
+
+    a, b and c are the loop's expressions, evaluated for all pairs at once.
+    Each sum is the last entry of a cumulative sum along one row that starts
+    at 0.0, and the a c and b c rows hold negated products: these are the
+    loop's additions, in its order and from its start, so signed zeros agree
+    too.  np.sum sums pairwise and would change bits.
+    """
+    n = len(rows)
+    m = np.fromiter(chain.from_iterable(rows), float, 6 * n).reshape(n, 6).T
+    i, j = _pair_index(n)
+    xi, yi, xi_r, yi_r, _, ri = m.take(i, axis=1)
+    xj, yj, xj_r, yj_r, _, rj = m.take(j, axis=1)
+    a = ri * (xi * xj_r + 1.0) - rj * (xi_r * xj + 1.0)
+    b = ri * (xj_r - xi) - rj * (xi_r - xj)
+    c = (yi_r * yj_r) / (yi * yj) * (xi - xj) + (xi_r - xj_r)
+    terms = np.zeros((6, len(i) + 1))
+    terms[:, 1:] = (a * a, a * b, b * b, -a * c, -b * c, c * c)
+    return np.cumsum(terms, axis=1)[:, -1].tolist()
 
 
 def quartic_coeffs(acc: NormalAccumulators) -> tuple[float, float, float, float]:

@@ -42,12 +42,13 @@ def pair_coeffs(p_i, p_j):
     return PairCoeffs(a, b, c)
 
 
-def random_scene(rng, n_min=5, n_max=20, max_angle=math.pi / 3, max_trans=2.0):
+def random_scene(rng, n_min=5, n_max=20, max_angle=math.pi / 3, max_trans=2.0, depth=None):
     """Draw one synthetic scene: a planar transform plus matched feature pairs.
 
     Feature heights are kept away from the optical plane (|Z/X| >= 0.01 in
     both frames) because the projective pair construction divides by the
-    vertical normalized coordinate.
+    vertical normalized coordinate.  ``depth`` puts every feature at that
+    one depth, a board.
     """
     n = int(rng.integers(n_min, n_max + 1))
     phi = float(rng.uniform(-max_angle, max_angle))
@@ -56,7 +57,7 @@ def random_scene(rng, n_min=5, n_max=20, max_angle=math.pi / 3, max_trans=2.0):
     g = PlanarTransform(phi, t_x, t_y)
     pairs = []
     while len(pairs) < n:
-        X = float(rng.uniform(1.5, 8.0))
+        X = float(rng.uniform(1.5, 8.0)) if depth is None else depth
         Y = float(rng.uniform(-3.0, 3.0))
         Z = float(rng.uniform(0.2, 2.0)) * (1.0 if rng.integers(0, 2) else -1.0)
         cur = transform_point(g, FeaturePoint3(X, Y, Z))

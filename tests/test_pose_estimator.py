@@ -84,6 +84,97 @@ def _case1_board_views(case_runs, noise_px=0.0):
     return views
 
 
+def _sum_bits(acc):
+    """float.hex of the six sums of an accumulate result."""
+    return tuple(v.hex() for v in (acc.a1, acc.a2, acc.a3, acc.b1, acc.b2, acc.c_sq))
+
+
+def _noisy(rng, pairs, sigma=1e-3):
+    return [
+        MatchedPair(
+            NormalizedFeature(
+                p.cur.x + float(rng.normal(0.0, sigma)), p.cur.y + float(rng.normal(0.0, sigma))
+            ),
+            p.ref,
+            p.X_star,
+        )
+        for p in pairs
+    ]
+
+
+def _identity(rng, n):
+    feats = [
+        NormalizedFeature(float(rng.uniform(-0.5, 0.5)), float(rng.uniform(0.05, 0.3)))
+        for _ in range(n)
+    ]
+    return [MatchedPair(f, f, float(rng.uniform(2.0, 6.0))) for f in feats]
+
+
+def _column(rng, n):
+    """Features on one vertical line through the optical axis, under a forward move.
+
+    Every feature keeps x = 0 in both views, so c vanishes for every pair
+    and the a c and b c products are all zeros: the sums b1 and b2 must
+    come out as +0.0, the loop's 0.0 - 0.0.
+    """
+    pairs = []
+    t_x = float(rng.uniform(-1.0, 1.0))
+    for _ in range(n):
+        X = float(rng.uniform(2.5, 6.0))
+        Z = float(rng.uniform(0.2, 0.9)) * (1.0 if rng.integers(0, 2) else -1.0)
+        pairs.append(
+            MatchedPair(NormalizedFeature(0.0, Z / (X + t_x)), NormalizedFeature(0.0, Z / X), X)
+        )
+    return pairs
+
+
+def _shared_ref_x(rng, n):
+    """Features that share one ref.x, each seen at its own cur.x."""
+    return [
+        MatchedPair(
+            NormalizedFeature(float(rng.uniform(-0.5, 0.5)), float(rng.uniform(0.05, 0.3))),
+            NormalizedFeature(0.1, float(rng.uniform(0.05, 0.3))),
+            float(rng.uniform(2.0, 6.0)),
+        )
+        for _ in range(n)
+    ]
+
+
+class TestMatchedPair:
+    """Non-finite input is refused at the door, not mis-estimated later.
+
+    Before the check, on a board view under PlanarTransform(0.1, 0.3, -0.2),
+    an infinite cur.y gave phi = 0.0445, an infinite X_star gave t = inf,
+    and a non-finite cur.x stalled the quartic.
+    """
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("cur.y", math.inf),
+            ("cur.y", math.nan),
+            ("X_star", math.inf),
+            ("cur.x", math.nan),
+            ("cur.x", math.inf),
+            ("ref.x", -math.inf),
+            ("ref.y", math.nan),
+        ],
+        ids=["cur_y_inf", "cur_y_nan", "X_star_inf", "cur_x_nan", "cur_x_inf", "ref_x_minus_inf",
+             "ref_y_nan"],
+    )
+    def test_non_finite_refused(self, field, value):
+        _, pairs = board_scene(0.1, 0.3, -0.2)
+        p = pairs[0]
+        parts = {"cur": p.cur, "ref": p.ref, "X_star": p.X_star}
+        if field == "X_star":
+            parts["X_star"] = value
+        else:
+            view, coord = field.split(".")
+            parts[view] = dataclasses.replace(parts[view], **{coord: value})
+        with pytest.raises(InvalidParams, match="finite"):
+            MatchedPair(**parts)
+
+
 class TestPairCoeffs:
     def test_identity_example(self):
         p1, p2 = _identity_pairs()
@@ -152,18 +243,47 @@ class TestAccumulate:
                     b2 += -c.b * c.c
                     c_sq += c.c * c.c
                     n += 1
-            assert (acc.a1, acc.a2, acc.a3) == (a1, a2, a3)
-            assert (acc.b1, acc.b2, acc.c_sq) == (b1, b2, c_sq)
+            # float.hex, so that 0.0 and -0.0 count as different
+            assert _sum_bits(acc) == tuple(v.hex() for v in (a1, a2, a3, b1, b2, c_sq))
             assert acc.pairs == n
 
     def test_order_invariant_bitwise(self, rng):
-        g, pairs = random_scene(rng, n_min=8, n_max=8)
-        base = accumulate(pairs)
-        for seed in range(5):
-            order = np.random.default_rng(seed).permutation(len(pairs))
-            shuffled = [pairs[k] for k in order]
-            again = accumulate(shuffled)
-            assert again == base
+        # one feature count on each side of the switch to the numpy sums
+        for n in (pose_estimator._VECTOR_MIN - 1, MAX_FEATURES):
+            g, pairs = random_scene(rng, n_min=n, n_max=n)
+            base = accumulate(pairs)
+            for seed in range(5):
+                order = np.random.default_rng(seed).permutation(len(pairs))
+                shuffled = [pairs[k] for k in order]
+                again = accumulate(shuffled)
+                assert again == base
+                assert _sum_bits(again) == _sum_bits(base)
+
+
+class TestVectorSums:
+    """The numpy pair sums of ``accumulate`` against its loop, bit for bit."""
+
+    SCENES = {
+        "random": lambda rng, n: random_scene(rng, n, n)[1],
+        "noisy": lambda rng, n: _noisy(rng, random_scene(rng, n, n)[1]),
+        "one_depth_board": lambda rng, n: random_scene(rng, n, n, 0.5, 1.0, depth=3.0)[1],
+        "identity": _identity,
+        "column": _column,
+        "shared_ref_x": _shared_ref_x,
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SCENES))
+    def test_paths_agree_bitwise(self, rng, monkeypatch, kind):
+        for n in range(2, MAX_FEATURES + 1):
+            pairs = self.SCENES[kind](rng, n)
+            monkeypatch.setattr(pose_estimator, "_VECTOR_MIN", MAX_FEATURES + 1)
+            loop = accumulate(pairs)
+            monkeypatch.setattr(pose_estimator, "_VECTOR_MIN", 2)
+            vector = accumulate(pairs)
+            assert _sum_bits(vector) == _sum_bits(loop), n
+            assert (vector.pairs, vector.rows) == (loop.pairs, loop.rows)
+            sums = (vector.a1, vector.a2, vector.a3, vector.b1, vector.b2, vector.c_sq)
+            assert all(type(v) is float for v in sums)
 
 
 class TestQuarticCoeffs:
