@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from servopark.closed_loop_sim import Scenario, perceive
+from servopark.closed_loop_sim import PerceptionMode, Scenario, perception
 from servopark.errors import InvalidParams
 from servopark.geometry import CameraIntrinsics, Pose2, relative_transform
 
@@ -49,7 +49,8 @@ def main(argv=None):
 
     goal = Pose2(5.0, 5.0, 0.0)
     try:  # every level is checked before the table starts
-        levels = [Scenario(intrinsics=WIDE_CAMERA, pixel_noise_sigma=s) for s in args.sigmas]
+        base = Scenario(intrinsics=WIDE_CAMERA, perception_mode=PerceptionMode.ESTIMATED)
+        levels = [dataclasses.replace(base, pixel_noise_sigma=s) for s in args.sigmas]
     except InvalidParams as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -70,9 +71,10 @@ def main(argv=None):
                 goal.y + float(rng.uniform(-1.0, 1.0)),
                 float(rng.uniform(-0.5, 0.5)),
             )
-            sc = dataclasses.replace(level, rng_seed=trial)
-            est, used, ang_err, trans_err = perceive(relative_transform(pose, goal), sc, trial)
-            if est is None or used < 4:
+            see = perception(dataclasses.replace(level, rng_seed=trial))
+            # estimated perception reads no true chained state
+            z, used, ang_err, trans_err = see(relative_transform(pose, goal), None, trial)
+            if z is None or used < 4:
                 continue  # no estimate, as a starved sample of the closed loop
             ang_errs.append(ang_err)
             trans_errs.append(trans_err)

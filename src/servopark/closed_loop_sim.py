@@ -14,6 +14,7 @@ same scenario agree byte for byte.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -58,7 +59,7 @@ from .parking_controller import (
     in_invariant_set,  # noqa: F401 -- not called; bench/tracing.py WRAPS looks it up here
 )
 from .parking_controller import step as controller_step
-from .pose_estimator import MAX_FEATURES, MatchedPair, PlanarTransformEstimate, estimate_pose
+from .pose_estimator import MAX_FEATURES, MatchedPair, estimate_pose
 
 # Convergence requires the twist to be this quiet for a full second, so a
 # fast crossing of the goal is not declared success.
@@ -162,7 +163,7 @@ class Scenario:
             0 <= self.anchor_index < len(self.object_features)
         ):
             raise InvalidParams("anchor_index out of range")
-        # run() divides both t_max and the quiet window by dt
+        # _step_count and _convergence divide t_max and the quiet window by dt
         if not math.isfinite(max(self.t_max, QUIET_WINDOW_SECONDS) / self.dt):
             raise InvalidParams("t_max / dt must be a finite step count")
 
@@ -274,78 +275,97 @@ def generate_observations(
     return pairs
 
 
-def perceive(
-    g: PlanarTransform, scenario: Scenario, step: int = 0
-) -> tuple[PlanarTransformEstimate | None, int, float, float]:
-    """Observe the object through the true goal-to-camera map ``g`` and estimate it.
+def perception(scenario: Scenario) -> Callable[..., tuple[ChainedState | None, int, float, float]]:
+    """One run's perception, as ``see(g, z_true, step)``.
 
-    Returns the estimate, the number of usable features, and the estimate's
-    angle and translation errors against ``g``.  Too few features, or visible
-    but uninformative ones, give no estimate: None and NaN errors.  Any other
-    error propagates.
+    ``see`` returns the state the controller acts on, the usable feature
+    count, and the estimate's angle and translation errors against the true
+    goal-to-camera map ``g``.  Ground truth gives ``z_true`` and NaN errors.
+    In estimated mode, too few or uninformative features give None and NaN
+    errors, and a blind streak over STARVATION_LIMIT_SECONDS aborts the run.
+    Any other error propagates.
     """
-    obs = generate_observations(g, scenario, step=step)
-    try:
-        est = estimate_pose(obs)
-    except (InsufficientFeatures, DegenerateGeometry, NumericalFailure):
-        return None, len(obs), math.nan, math.nan
-    e = est.transform
-    return est, len(obs), abs(wrap_angle(e.phi - g.phi)), math.hypot(e.t_x - g.t_x, e.t_y - g.t_y)
+    n_features = len(scenario.object_features)
+    if scenario.perception_mode is PerceptionMode.GROUND_TRUTH:
+        return lambda g, z_true, step: (z_true, n_features, math.nan, math.nan)
+    anchor = scenario.anchor()
+    blind = 0
 
+    def see(g, z_true, step):
+        nonlocal blind
+        obs = generate_observations(g, scenario, step=step)
+        try:
+            est = estimate_pose(obs)
+        except (InsufficientFeatures, DegenerateGeometry, NumericalFailure):
+            blind += 1
+            if blind * scenario.dt > STARVATION_LIMIT_SECONDS:
+                raise EstimatorStarvation(
+                    f"no usable pose estimate for "
+                    f"{blind * scenario.dt:.2f} s at t = {step * scenario.dt:.2f} s"
+                ) from None
+            return None, len(obs), math.nan, math.nan
+        blind = 0
+        e = est.transform
+        z = to_chained(error_from_transform(e, anchor))
+        return z, len(obs), abs(wrap_angle(e.phi - g.phi)), math.hypot(e.t_x - g.t_x, e.t_y - g.t_y)
 
-def _sample_in_tolerance(
-    s: TrajectorySample, spec: ConvergenceSpec, z_scale: float, t_settle: float
-) -> bool:
-    # samples before the last applied goal update were aimed at an old goal
-    if s.t + 1e-12 < t_settle:
-        return False
-    pos_err = z_scale * math.hypot(s.z.z1, s.z.z2)
-    ang_err = abs(s.z.z0)
-    quiet = abs(s.twist.v) < TWIST_QUIET and abs(s.twist.omega) < TWIST_QUIET
-    return pos_err < spec.pos_tol and ang_err < spec.ang_tol and quiet
-
-
-def _quiet_window(dt: float) -> int:
-    return max(1, round(QUIET_WINDOW_SECONDS / dt))
+    return see
 
 
 def _step_count(scenario: Scenario) -> int:
     return math.floor(scenario.t_max / scenario.dt + 1e-9)
 
 
-def _settle_time(scenario: Scenario) -> float:
-    """Time of the last goal update that run() applies, or 0: convergence counts from there."""
+def _convergence(scenario: Scenario) -> Callable[[TrajectorySample], bool]:
+    """The convergence rule, one sample at a time: True at a sample that ends a quiet window.
+
+    A window is one second of samples in a row with the true state within
+    tolerance and the commanded (post-clamp) twist quiet, counted from the
+    last goal update that run() applies.
+    """
+    spec = scenario.convergence
+    z_scale = abs(scenario.anchor().Z_star)
+    window = max(1, round(QUIET_WINDOW_SECONDS / scenario.dt))
     t_end = _step_count(scenario) * scenario.dt
-    return max((u.t for u in scenario.goal_updates if u.t <= t_end + 1e-12), default=0.0)
+    t_settle = max((u.t for u in scenario.goal_updates if u.t <= t_end + 1e-12), default=0.0)
+    streak = 0
+
+    def ends_window(s: TrajectorySample) -> bool:
+        nonlocal streak
+        in_tol = (
+            s.t + 1e-12 >= t_settle  # earlier samples were aimed at an old goal
+            and z_scale * math.hypot(s.z.z1, s.z.z2) < spec.pos_tol
+            and abs(s.z.z0) < spec.ang_tol
+            and abs(s.twist.v) < TWIST_QUIET
+            and abs(s.twist.omega) < TWIST_QUIET
+        )
+        streak = streak + 1 if in_tol else 0
+        return streak >= window
+
+    return ends_window
 
 
 def run(scenario: Scenario) -> tuple[list[TrajectorySample], RunSummary]:
     """Simulate until convergence or t_max; returns the full log and summary.
 
-    Convergence is declared at the first sample completing one second of
-    consecutive in-tolerance, quiet-twist samples, judged on the true state
-    and the commanded (post-clamp) twist, counted from the last goal update
-    the run applies.  In estimated mode a sample with no usable estimate
-    holds the previous twist, with that decision's in_gamma; a starvation
-    streak longer than the limit aborts the run.
+    Each step applies due goal updates, perceives (see ``perception``),
+    evaluates the law, logs the sample, asks ``_convergence`` whether it
+    ends a quiet window, and integrates.  A sample with no usable estimate
+    holds the previous twist, with that decision's in_gamma.
     """
     gains = compute_gains(scenario.controller)
     anchor = scenario.anchor()
-    z_scale = abs(anchor.Z_star)
-    window = _quiet_window(scenario.dt)
-    t_settle = _settle_time(scenario)
     n_steps = _step_count(scenario)
     updates = sorted(scenario.goal_updates, key=lambda u: u.t)
+    see = perception(scenario)
+    ends_window = _convergence(scenario)
 
     pose = scenario.initial_pose
     goal = scenario.goal_pose
     twist = BodyTwist(0.0, 0.0)  # held through starved steps, with its decision's in_gamma
     in_gamma = False
-    estimated = scenario.perception_mode is PerceptionMode.ESTIMATED
     samples: list[TrajectorySample] = []
     next_update = 0
-    starve_streak = 0
-    streak = 0
 
     for k in range(n_steps + 1):
         t = k * scenario.dt
@@ -355,26 +375,9 @@ def run(scenario: Scenario) -> tuple[list[TrajectorySample], RunSummary]:
 
         g_true = relative_transform(pose, goal)
         z_true = to_chained(error_from_transform(g_true, anchor))
+        z_ctrl, visible, est_angle_err, est_trans_err = see(g_true, z_true, k)
 
-        visible = len(scenario.object_features)
-        est_angle_err = est_trans_err = math.nan
-        z_ctrl = z_true
-        starved = False
-        if estimated:
-            est, visible, est_angle_err, est_trans_err = perceive(g_true, scenario, step=k)
-            starved = est is None
-            if starved:
-                starve_streak += 1
-                if starve_streak * scenario.dt > STARVATION_LIMIT_SECONDS:
-                    raise EstimatorStarvation(
-                        f"no usable pose estimate for "
-                        f"{starve_streak * scenario.dt:.2f} s at t = {t:.2f} s"
-                    )
-            else:
-                starve_streak = 0
-                z_ctrl = to_chained(error_from_transform(est.transform, anchor))
-
-        if starved:  # keep the previous twist and its in_gamma; no law is evaluated
+        if z_ctrl is None:  # keep the previous twist and its in_gamma; no law is evaluated
             u, u0_branch, u1_branch = ChainedInput(math.nan, math.nan), _HELD, _HELD
         else:
             twist, decision = controller_step(
@@ -395,9 +398,7 @@ def run(scenario: Scenario) -> tuple[list[TrajectorySample], RunSummary]:
             visible,
         )
         samples.append(sample)
-        in_tol = _sample_in_tolerance(sample, scenario.convergence, z_scale, t_settle)
-        streak = streak + 1 if in_tol else 0
-        if streak >= window or k == n_steps:
+        if ends_window(sample) or k == n_steps:
             break
         pose = integrate_unicycle(pose, twist, scenario.dt)
 
@@ -407,17 +408,12 @@ def run(scenario: Scenario) -> tuple[list[TrajectorySample], RunSummary]:
 def summarize(samples: list[TrajectorySample], scenario: Scenario) -> RunSummary:
     """Recompute the run verdict and aggregates from a log.
 
-    Applies the exact convergence rule of run(), so summarizing a log gives
-    the same verdict the run itself reached.  The final sample's twist is
-    never applied, so it is excluded from the path length.
+    The verdict comes from ``_convergence``, as in run().  The final
+    sample's twist is never applied, so it is excluded from the path length.
     """
     if not samples:
         raise EmptyLog("cannot summarize an empty trajectory log")
-    z_scale = abs(scenario.anchor().Z_star)
-    window = _quiet_window(scenario.dt)
-    t_settle = _settle_time(scenario)
-    streak = 0
-    converged = False
+    ends_window = _convergence(scenario)
     t_converge: float | None = None
     path_length = 0.0
     max_abs_v = 0.0
@@ -429,14 +425,12 @@ def summarize(samples: list[TrajectorySample], scenario: Scenario) -> RunSummary
         max_abs_v = max(max_abs_v, abs(s.twist.v))
         max_abs_omega = max(max_abs_omega, abs(s.twist.omega))
         peak_z0z1 = max(peak_z0z1, abs(s.z.z0) + abs(s.z.z1))
-        in_tol = _sample_in_tolerance(s, scenario.convergence, z_scale, t_settle)
-        streak = streak + 1 if in_tol else 0
-        if not converged and streak >= window:
-            converged = True
+        if ends_window(s) and t_converge is None:
             t_converge = s.t
     last = samples[-1]
+    z_scale = abs(scenario.anchor().Z_star)
     return RunSummary(
-        converged=converged,
+        converged=t_converge is not None,
         t_converge=t_converge,
         final_pos_err=z_scale * math.hypot(last.z.z1, last.z.z2),
         final_ang_err=abs(last.z.z0),

@@ -169,12 +169,13 @@ def _vector_sums(rows: list[_Row]) -> list[float]:
     i, j = _pair_index(n)
     xi, yi, xi_r, yi_r, _, ri = m.take(i, axis=1)
     xj, yj, xj_r, yj_r, _, rj = m.take(j, axis=1)
-    a = ri * (xi * xj_r + 1.0) - rj * (xi_r * xj + 1.0)
-    b = ri * (xj_r - xi) - rj * (xi_r - xj)
-    c = (yi_r * yj_r) / (yi * yj) * (xi - xj) + (xi_r - xj_r)
     terms = np.zeros((6, len(i) + 1))
-    terms[:, 1:] = (a * a, a * b, b * b, -a * c, -b * c, c * c)
-    return np.cumsum(terms, axis=1)[:, -1].tolist()
+    with np.errstate(over="ignore", invalid="ignore"):  # the loop overflows silently too
+        a = ri * (xi * xj_r + 1.0) - rj * (xi_r * xj + 1.0)
+        b = ri * (xj_r - xi) - rj * (xi_r - xj)
+        c = (yi_r * yj_r) / (yi * yj) * (xi - xj) + (xi_r - xj_r)
+        terms[:, 1:] = (a * a, a * b, b * b, -a * c, -b * c, c * c)
+        return np.cumsum(terms, axis=1)[:, -1].tolist()
 
 
 def quartic_coeffs(acc: NormalAccumulators) -> tuple[float, float, float, float]:

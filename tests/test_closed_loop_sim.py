@@ -1,12 +1,15 @@
 """Closed-loop simulation: integration, observation, convergence bookkeeping."""
 
 import dataclasses
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from servopark.closed_loop_sim import (
+    STARVATION_LIMIT_SECONDS,
     ConvergenceSpec,
     GoalUpdate,
     PerceptionMode,
@@ -16,7 +19,7 @@ from servopark.closed_loop_sim import (
     default_object_features,
     generate_observations,
     integrate_unicycle,
-    perceive,
+    perception,
     pose_for_chained_state,
     run,
     summarize,
@@ -49,6 +52,7 @@ from servopark.geometry import (
 from servopark.parking_controller import PROPOSED_PARAMS, TwistLimits
 from servopark.pose_estimator import MatchedPair, estimate_pose
 
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 CORRIDOR_GOAL = Pose2(1.0, 2.0, 0.3)
 
 
@@ -179,22 +183,26 @@ class TestGenerateObservations:
 
 
 class TestPerceive:
+    """The per-run perception owner: ``perception(scenario)`` returns ``see``."""
+
     def _scenario(self):
         return corridor_scenario(perception_mode=PerceptionMode.ESTIMATED, pixel_noise_sigma=0.3)
 
     def test_errors_are_the_ones_a_run_logs(self):
         sc = self._scenario()
         samples, _ = run(dataclasses.replace(sc, t_max=0.5))
+        see = perception(sc)
         for k in (0, 50):
             g = relative_transform(samples[k].pose, sc.goal_pose)
-            est, used, ang_err, trans_err = perceive(g, sc, step=k)
-            assert est is not None
+            z, used, ang_err, trans_err = see(g, samples[k].z, k)
+            assert z is not None
             assert (used, ang_err, trans_err) == (
                 samples[k].visible_count,
                 samples[k].est_angle_err,
                 samples[k].est_trans_err,
             )
-            assert est == estimate_pose(generate_observations(g, sc, k))
+            est = estimate_pose(generate_observations(g, sc, k))
+            assert z == to_chained(error_from_transform(est.transform, sc.anchor()))
 
     @pytest.mark.parametrize("error", [InsufficientFeatures, DegenerateGeometry, NumericalFailure])
     def test_no_estimate(self, monkeypatch, error):
@@ -206,8 +214,8 @@ class TestPerceive:
         monkeypatch.setattr(sim, "estimate_pose", failing)
         sc = self._scenario()
         g = relative_transform(sc.initial_pose, sc.goal_pose)
-        est, used, ang_err, trans_err = perceive(g, sc, step=3)
-        assert est is None
+        z, used, ang_err, trans_err = perception(sc)(g, None, 3)
+        assert z is None
         assert used == len(generate_observations(g, sc, 3)) == 6
         assert math.isnan(ang_err) and math.isnan(trans_err)
 
@@ -220,7 +228,49 @@ class TestPerceive:
         monkeypatch.setattr(sim, "estimate_pose", broken)
         sc = self._scenario()
         with pytest.raises(TypeError, match="broken estimator"):
-            perceive(relative_transform(sc.initial_pose, sc.goal_pose), sc)
+            perception(sc)(relative_transform(sc.initial_pose, sc.goal_pose), None, 0)
+
+    def test_ground_truth_hands_back_the_true_state(self, monkeypatch):
+        import servopark.closed_loop_sim as sim
+
+        def unused(*args):
+            raise AssertionError("ground truth observes nothing")
+
+        monkeypatch.setattr(sim, "generate_observations", unused)
+        monkeypatch.setattr(sim, "estimate_pose", unused)
+        sc = corridor_scenario()
+        z_true = ChainedState(0.1, -0.2, 0.3)
+        g = relative_transform(sc.initial_pose, sc.goal_pose)
+        z, used, ang_err, trans_err = perception(sc)(g, z_true, 7)
+        assert z is z_true
+        assert used == len(sc.object_features) == 6
+        assert math.isnan(ang_err) and math.isnan(trans_err)
+
+    def test_blind_count_resets_after_an_estimate(self, monkeypatch):
+        import servopark.closed_loop_sim as sim
+
+        real = sim.estimate_pose
+        blind = True
+
+        def flaky(pairs):
+            if blind:
+                raise DegenerateGeometry("no estimate")
+            return real(pairs)
+
+        monkeypatch.setattr(sim, "estimate_pose", flaky)
+        sc = dataclasses.replace(self._scenario(), dt=0.5)
+        g = relative_transform(sc.initial_pose, sc.goal_pose)
+        see = perception(sc)
+        allowed = round(STARVATION_LIMIT_SECONDS / sc.dt)  # blind steps before the abort
+        for step in range(allowed):
+            assert see(g, None, step)[0] is None
+        blind = False
+        assert see(g, None, allowed)[0] is not None
+        blind = True
+        for step in range(allowed):  # the count started again at the estimate
+            assert see(g, None, allowed + 1 + step)[0] is None
+        with pytest.raises(EstimatorStarvation, match=r"for 5\.50 s at t = 49\.50 s"):
+            see(g, None, 99)
 
 
 # Holds six samples near t = 34 s, after decisions outside Gamma.
@@ -344,26 +394,18 @@ class TestStepSize:
 
 
 class TestCallShapes:
-    # The per-layer timings wrap these names in the closed_loop_sim namespace;
-    # a run that reaches a layer by another route would drop its metric.
-    TRACED = (
-        "generate_observations",
-        "estimate_pose",
-        "controller_step",
-        "relative_transform",
-        "project",
-        "transform_point",
-        "normalize",
-        "error_from_transform",
-        "to_chained",
-        "integrate_unicycle",
-        "summarize",
-    )
+    # The per-layer timings wrap the closed_loop_sim names in bench/tracing.py's
+    # WRAPS; a run that reaches a layer by another route would drop its metric.
+    # run is the entry point itself; in_invariant_set is imported only for WRAPS.
+    UNTRACED = ("run", "in_invariant_set")
 
     def test_estimated_run_reaches_every_traced_layer(self, monkeypatch):
         import servopark.closed_loop_sim as sim
 
-        calls = dict.fromkeys(self.TRACED, 0)
+        monkeypatch.syspath_prepend(str(BENCH))
+        wraps = importlib.import_module("tracing").WRAPS
+        traced = [attr for m, attr, _, _ in wraps if m is sim and attr not in self.UNTRACED]
+        calls = dict.fromkeys(traced, 0)
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -372,7 +414,7 @@ class TestCallShapes:
 
             return wrapper
 
-        for name in self.TRACED:
+        for name in traced:
             monkeypatch.setattr(sim, name, counting(name, getattr(sim, name)))
         sc = corridor_scenario(perception_mode=PerceptionMode.ESTIMATED, t_max=0.5)
         samples, _ = run(sc)
@@ -504,6 +546,13 @@ class TestSummarize:
         summary = summarize(samples, sc)
         assert summary.path_length == pytest.approx(5.0, abs=1e-9)
         assert summary.max_abs_v == 1.0
+
+    def test_verdict_at_the_sample_closing_the_first_quiet_window(self):
+        sc = Scenario(goal_pose=Pose2(0.0, 0.0, 0.0), dt=0.01, t_max=5.0)
+        samples = [self._sample(k * 0.01, 1.0 if k < 50 else 0.0) for k in range(300)]
+        summary = summarize(samples, sc)
+        assert summary.converged
+        assert summary.t_converge == samples[50 + 99].t  # one second of quiet samples
 
     def test_empty_log_rejected(self):
         sc = Scenario(goal_pose=Pose2(0.0, 0.0, 0.0))

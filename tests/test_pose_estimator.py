@@ -140,6 +140,21 @@ def _shared_ref_x(rng, n):
     ]
 
 
+def _overflowing(rng, n):
+    """Finite features seen near x = +-1e200: the pair products overflow to inf and nan."""
+    return [
+        MatchedPair(
+            NormalizedFeature(
+                float(rng.uniform(0.5, 1.5)) * (1e200 if k % 2 else -1e200),
+                float(rng.uniform(0.05, 0.3)),
+            ),
+            NormalizedFeature(float(rng.uniform(-0.5, 0.5)), float(rng.uniform(0.05, 0.3))),
+            float(rng.uniform(2.0, 6.0)),
+        )
+        for k in range(n)
+    ]
+
+
 class TestMatchedPair:
     """Non-finite input is refused at the door, not mis-estimated later.
 
@@ -270,6 +285,7 @@ class TestVectorSums:
         "identity": _identity,
         "column": _column,
         "shared_ref_x": _shared_ref_x,
+        "overflowing": _overflowing,
     }
 
     @pytest.mark.parametrize("kind", sorted(SCENES))
@@ -284,6 +300,19 @@ class TestVectorSums:
             assert (vector.pairs, vector.rows) == (loop.pairs, loop.rows)
             sums = (vector.a1, vector.a2, vector.a3, vector.b1, vector.b2, vector.c_sq)
             assert all(type(v) is float for v in sums)
+
+
+    def test_overflowing_scene_fails_alike_on_both_paths(self, rng, monkeypatch):
+        # numpy must stay as silent as the loop, and the estimate fail the same way
+        pairs = _overflowing(rng, 14)
+        outcomes = []
+        for vector_min in (MAX_FEATURES + 1, 2):
+            monkeypatch.setattr(pose_estimator, "_VECTOR_MIN", vector_min)
+            with pytest.raises(NumericalFailure) as failure:
+                estimate_pose(pairs)
+            outcomes.append((_sum_bits(accumulate(pairs)), str(failure.value)))
+        assert outcomes[0] == outcomes[1]
+        assert {"inf", "nan"} <= set(outcomes[0][0])
 
 
 class TestQuarticCoeffs:
@@ -452,7 +481,21 @@ class TestEstimateRotation:
         assert err < 1e-6
 
 
+    @pytest.mark.parametrize(
+        "b, best", [((0.0, 0.0), (0.0, 1.0)), ((6e-13, 8e-13), (0.6, 0.8))], ids=["zero", "along_b"]
+    )
+    def test_every_direction_stationary(self, b, best):
+        # M = 1e3 I with lam = -1e3 leaves the system 0 = b: the cost is
+        # linear in the rotation there, least along b (any unit vector if b = 0)
+        r = rotation_candidates(NormalAccumulators(1e3, 0.0, 1e3, *b, 0.0, 3))[0]
+        assert (r.sin_theta, r.cos_theta) == best
+
+
 class TestTranslation:
+    def test_no_features(self):
+        with pytest.raises(InsufficientFeatures):
+            estimate_translation([], RotationEstimate(0.0, 1.0, 0.0, 0.0))
+
     def test_terms_identity(self):
         p = _identity_pairs()[0]
         r = RotationEstimate(0.0, 1.0, 0.0, 0.0)

@@ -15,6 +15,14 @@ SMOKE_ROWS = [
     ("noise_sweep", ["--sigmas", "0", "--trials", "5"], "sigma_px"),
 ]
 
+# stdout of `noise_sweep.py --sigmas 0 0.5 --trials 5 --seed 3`, byte for byte
+NOISE_SWEEP_TABLE = """\
+ sigma_px  used    ang p50    ang p90  trans p50  trans p90
+-----------------------------------------------------------
+     0.00     5  3.414e-15  4.990e-15  1.053e-14  1.547e-14
+     0.50     5  8.046e-02  1.416e-01  2.648e-01  4.367e-01
+"""
+
 
 def _load(name):
     spec = importlib.util.spec_from_file_location(name, os.path.join(SCRIPTS, name + ".py"))
@@ -35,6 +43,11 @@ def test_script_runs(capsys, name, argv, first_column):
     assert lines[0].split()[0] == first_column
     assert set(lines[1]) == {"-"}
     assert len(lines) == 3
+
+
+def test_noise_sweep_table_is_pinned(capsys):
+    assert _load("noise_sweep").main(["--sigmas", "0", "0.5", "--trials", "5", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == NOISE_SWEEP_TABLE
 
 
 def test_noise_sweep_propagates_programming_errors(monkeypatch):
