@@ -54,12 +54,12 @@ TRAJ_COLUMNS = (
     ("visible_count", "visible_count", "%d"),
 )
 
-# the same for a pairs file, one MatchedPair per row
+# the same for a pairs file, one MatchedPair per row: its five slots
 PAIRS_COLUMNS = (
-    ("x_cur", "cur.x", "%.17g"),
-    ("y_cur", "cur.y", "%.17g"),
-    ("x_ref", "ref.x", "%.17g"),
-    ("y_ref", "ref.y", "%.17g"),
+    ("x_cur", "x_cur", "%.17g"),
+    ("y_cur", "y_cur", "%.17g"),
+    ("x_ref", "x_ref", "%.17g"),
+    ("y_ref", "y_ref", "%.17g"),
     ("X_star", "X_star", "%.17g"),
 )
 

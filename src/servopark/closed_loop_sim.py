@@ -87,6 +87,11 @@ class ConvergenceSpec:
             raise InvalidParams("convergence tolerances must be positive")
 
 
+def _finite_pose(p: Pose2) -> bool:
+    # Pose2 itself stays unchecked: integrate_unicycle builds one per step
+    return math.isfinite(p.x) and math.isfinite(p.y) and math.isfinite(p.theta)
+
+
 @dataclass(frozen=True, slots=True)
 class GoalUpdate:
     """Timed re-placement of the object: the goal pose jumps at time t.
@@ -100,6 +105,8 @@ class GoalUpdate:
     def __post_init__(self) -> None:
         if not self.t >= 0.0:
             raise InvalidParams("goal update time must be nonnegative")
+        if not _finite_pose(self.goal_pose):
+            raise InvalidParams("goal update pose must be finite")
 
 
 def default_object_features() -> tuple[FeaturePoint3, ...]:
@@ -142,6 +149,10 @@ class Scenario:
     def __post_init__(self) -> None:
         object.__setattr__(self, "object_features", tuple(self.object_features))
         object.__setattr__(self, "goal_updates", tuple(self.goal_updates))
+        if not _finite_pose(self.initial_pose):
+            raise InvalidParams("initial_pose must be finite")
+        if not _finite_pose(self.goal_pose):
+            raise InvalidParams("goal_pose must be finite")
         if not self.dt > 0.0:
             raise InvalidParams("dt must be positive")
         if not self.t_max > self.dt:

@@ -90,6 +90,8 @@ class CameraIntrinsics:
     min_depth: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.f_x, self.f_y, self.c_x, self.c_y, self.min_depth))):
+            raise InvalidParams("intrinsics must be finite")
         if not (self.f_x > 0.0 and self.f_y > 0.0):
             raise InvalidParams("focal lengths must be positive")
         if not self.min_depth > 0.0:
@@ -118,6 +120,8 @@ class FeaturePoint3:
     Z_star: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.X_star, self.Y_star, self.Z_star))):
+            raise InvalidParams("feature coordinates must be finite")
         if not self.X_star > 0.0:
             raise InvalidParams("feature depth X_star must be positive")
         if self.Z_star == 0.0:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cache
 from itertools import chain
 
@@ -47,30 +47,54 @@ MAX_FEATURES = 64  # reject rather than silently subsample
 _VECTOR_MIN = 14
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class MatchedPair:
     """One feature correspondence: current view, reference view, reference depth.
 
-    A dataclass: its ``__post_init__`` is the one admission check for a feature.
+    Stored flat, as the five floats of a pairs-file row; ``cur`` and ``ref``
+    are built on demand.  ``__init__`` takes the two views and the depth: it
+    is the one admission check for a feature, and writes the slots only once
+    the feature is admitted.
     """
 
-    cur: NormalizedFeature
-    ref: NormalizedFeature
+    x_cur: float
+    y_cur: float
+    x_ref: float
+    y_ref: float
     X_star: float
 
-    def __post_init__(self) -> None:
-        cur, ref = self.cur, self.ref
+    def __init__(self, cur: NormalizedFeature, ref: NormalizedFeature, X_star: float) -> None:
+        x_cur, y_cur, x_ref, y_ref = cur.x, cur.y, ref.x, ref.y
         if not (
-            math.isfinite(cur.x)
-            and math.isfinite(cur.y)
-            and math.isfinite(ref.x)
-            and math.isfinite(ref.y)
+            math.isfinite(x_cur)
+            and math.isfinite(y_cur)
+            and math.isfinite(x_ref)
+            and math.isfinite(y_ref)
         ):
             raise InvalidParams("normalized coordinates must be finite")
-        if abs(cur.y) < Y_TOL or abs(ref.y) < Y_TOL:
+        if abs(y_cur) < Y_TOL or abs(y_ref) < Y_TOL:
             raise DegenerateFeature("vertical normalized coordinate too close to zero")
-        if not 0.0 < self.X_star < math.inf:
+        if not 0.0 < X_star < math.inf:
             raise InvalidParams("reference depth must be positive and finite")
+        # the slots' own setters: object.__setattr__ would double the cost of a pair
+        _set_x_cur(self, x_cur)
+        _set_y_cur(self, y_cur)
+        _set_x_ref(self, x_ref)
+        _set_y_ref(self, y_ref)
+        _set_X_star(self, X_star)
+
+    @property
+    def cur(self) -> NormalizedFeature:
+        return NormalizedFeature(self.x_cur, self.y_cur)
+
+    @property
+    def ref(self) -> NormalizedFeature:
+        return NormalizedFeature(self.x_ref, self.y_ref)
+
+
+_set_x_cur, _set_y_cur, _set_x_ref, _set_y_ref, _set_X_star = (
+    vars(MatchedPair)[f.name].__set__ for f in fields(MatchedPair)
+)
 
 
 # One matched pair, unpacked: (x, y, x_ref, y_ref, X_star, y_ref / y).
@@ -119,8 +143,8 @@ class PlanarTransformEstimate:
 
 def _rows(pairs: list[MatchedPair]) -> list[_Row]:
     # fixed summation order makes the estimate permutation-invariant bit for bit
-    ordered = sorted(pairs, key=lambda p: (p.ref.x, p.ref.y, p.cur.x, p.cur.y, p.X_star))
-    return [(p.cur.x, p.cur.y, p.ref.x, p.ref.y, p.X_star, p.ref.y / p.cur.y) for p in ordered]
+    ordered = sorted(pairs, key=lambda p: (p.x_ref, p.y_ref, p.x_cur, p.y_cur, p.X_star))
+    return [(p.x_cur, p.y_cur, p.x_ref, p.y_ref, p.X_star, p.y_ref / p.y_cur) for p in ordered]
 
 
 def accumulate(pairs: list[MatchedPair]) -> NormalAccumulators:

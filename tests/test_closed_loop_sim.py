@@ -613,11 +613,35 @@ class TestScenarioValidation:
                 lambda: MatchedPair(NormalizedFeature(0.1, 0.2), NormalizedFeature(0.1, 0.2), 0.0),
                 "reference depth must be positive",
             ),
+            # library-built configuration: the JSON path refuses these in the parser
+            (
+                lambda: CameraIntrinsics(460.0, 460.0, math.nan, 240.0, 640, 480, 0.1),
+                "intrinsics must be finite",
+            ),
+            (
+                lambda: CameraIntrinsics(math.inf, 460.0, 320.0, 240.0, 640, 480, 0.1),
+                "intrinsics must be finite",
+            ),
+            (lambda: FeaturePoint3(3.0, 0.0, math.nan), "feature coordinates must be finite"),
+            (lambda: FeaturePoint3(math.inf, 0.0, 0.5), "feature coordinates must be finite"),
+            (lambda: FeaturePoint3(3.0, math.nan, 0.5), "feature coordinates must be finite"),
+            (
+                lambda: Scenario(initial_pose=Pose2(math.nan, 0.0, 0.0)),
+                "initial_pose must be finite",
+            ),
+            (lambda: Scenario(goal_pose=Pose2(0.0, math.inf, 0.0)), "goal_pose must be finite"),
+            (
+                lambda: GoalUpdate(1.0, Pose2(0.0, 0.0, math.nan)),
+                "goal update pose must be finite",
+            ),
         ],
         ids=[
             "convergence_spec", "goal_update_time", "no_features", "estimated_one_feature",
             "estimated_too_many_features",
             "integrate_dt", "feature_depth", "feature_height", "twist_limits", "pair_depth",
+            "intrinsics_c_x_nan", "intrinsics_f_x_inf", "feature_height_nan",
+            "feature_depth_inf", "feature_lateral_nan", "initial_pose_nan", "goal_pose_inf",
+            "goal_update_pose_nan",
         ],
     )
     def test_invalid_params_refused(self, build, message):

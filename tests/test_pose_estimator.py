@@ -1,7 +1,10 @@
 """Closed-form planar pose estimation from matched feature pairs."""
 
 import dataclasses
+import gc
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +191,46 @@ class TestMatchedPair:
             parts[view] = dataclasses.replace(parts[view], **{coord: value})
         with pytest.raises(InvalidParams, match="finite"):
             MatchedPair(**parts)
+
+    def test_keyword_construction(self):
+        cur, ref = NormalizedFeature(0.1, 0.2), NormalizedFeature(0.15, 0.22)
+        assert MatchedPair(cur=cur, ref=ref, X_star=3.0) == MatchedPair(cur, ref, 3.0)
+
+    def test_views_are_derived(self):
+        p = MatchedPair(NormalizedFeature(0.1, 0.2), NormalizedFeature(0.15, 0.22), 3.0)
+        assert (p.x_cur, p.y_cur, p.x_ref, p.y_ref, p.X_star) == (0.1, 0.2, 0.15, 0.22, 3.0)
+        assert p.cur == NormalizedFeature(0.1, 0.2)
+        assert p.ref == NormalizedFeature(0.15, 0.22)
+
+    def test_equality_and_hash_by_value(self):
+        def build():
+            return MatchedPair(NormalizedFeature(0.1, 0.2), NormalizedFeature(0.15, 0.22), 3.0)
+
+        p, q = build(), build()
+        assert p == q and hash(p) == hash(q)
+        assert p != MatchedPair(NormalizedFeature(0.1, 0.2), NormalizedFeature(0.15, 0.22), 3.5)
+
+    def test_holds_five_floats_only(self):
+        values = (0.1, 0.2, 0.15, 0.22, 3.0)
+        p = MatchedPair(NormalizedFeature(*values[:2]), NormalizedFeature(*values[2:4]), values[4])
+        assert sorted(map(id, gc.get_referents(p))) == sorted(map(id, (*values, MatchedPair)))
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="object sizes of CPython 3.11")
+    def test_at_most_72_bytes_a_pair(self):
+        # fresh views per pair, as generate_observations builds them; the floats
+        # and the list are allocated before tracing starts
+        n = 100_000
+        x, y, xr, yr, X = 0.1, 0.2, 0.15, 0.22, 3.0
+        pairs = [None] * n
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(n):
+                pairs[i] = MatchedPair(NormalizedFeature(x, y), NormalizedFeature(xr, yr), X)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown // n <= 72  # the remainder is a few hundred bytes the trace itself holds
 
 
 class TestPairCoeffs:
