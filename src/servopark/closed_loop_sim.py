@@ -53,6 +53,7 @@ from .geometry import (
 )
 from .parking_controller import (
     PROPOSED_PARAMS,
+    ControlDecision,
     ControllerParams,
     TwistLimits,
     compute_gains,
@@ -68,6 +69,8 @@ QUIET_WINDOW_SECONDS = 1.0
 STARVATION_LIMIT_SECONDS = 5.0
 
 _HELD = "held"  # branch label for starved samples where no law was evaluated
+_NO_INPUT = ChainedInput(math.nan, math.nan)
+_NOT_DECIDED = ControlDecision(_NO_INPUT, _HELD, _HELD, False)  # held before any decision
 
 
 class PerceptionMode(Enum):
@@ -85,11 +88,8 @@ class ConvergenceSpec:
     def __post_init__(self) -> None:
         if not (self.pos_tol > 0.0 and self.ang_tol > 0.0):
             raise InvalidParams("convergence tolerances must be positive")
-
-
-def _finite_pose(p: Pose2) -> bool:
-    # Pose2 itself stays unchecked: integrate_unicycle builds one per step
-    return math.isfinite(p.x) and math.isfinite(p.y) and math.isfinite(p.theta)
+        if not (math.isfinite(self.pos_tol) and math.isfinite(self.ang_tol)):
+            raise InvalidParams("convergence tolerances must be finite")
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,8 +105,8 @@ class GoalUpdate:
     def __post_init__(self) -> None:
         if not self.t >= 0.0:
             raise InvalidParams("goal update time must be nonnegative")
-        if not _finite_pose(self.goal_pose):
-            raise InvalidParams("goal update pose must be finite")
+        if not math.isfinite(self.t):
+            raise InvalidParams("goal update time must be finite")
 
 
 def default_object_features() -> tuple[FeaturePoint3, ...]:
@@ -149,10 +149,6 @@ class Scenario:
     def __post_init__(self) -> None:
         object.__setattr__(self, "object_features", tuple(self.object_features))
         object.__setattr__(self, "goal_updates", tuple(self.goal_updates))
-        if not _finite_pose(self.initial_pose):
-            raise InvalidParams("initial_pose must be finite")
-        if not _finite_pose(self.goal_pose):
-            raise InvalidParams("goal_pose must be finite")
         if not self.dt > 0.0:
             raise InvalidParams("dt must be positive")
         if not self.t_max > self.dt:
@@ -374,7 +370,7 @@ def run(scenario: Scenario) -> tuple[list[TrajectorySample], RunSummary]:
     pose = scenario.initial_pose
     goal = scenario.goal_pose
     twist = BodyTwist(0.0, 0.0)  # held through starved steps, with its decision's in_gamma
-    in_gamma = False
+    decision = _NOT_DECIDED
     samples: list[TrajectorySample] = []
     next_update = 0
 
@@ -389,21 +385,17 @@ def run(scenario: Scenario) -> tuple[list[TrajectorySample], RunSummary]:
         z_ctrl, visible, est_angle_err, est_trans_err = see(g_true, z_true, k)
 
         if z_ctrl is None:  # keep the previous twist and its in_gamma; no law is evaluated
-            u, u0_branch, u1_branch = ChainedInput(math.nan, math.nan), _HELD, _HELD
+            decision = decision._replace(u=_NO_INPUT, u0_branch=_HELD, u1_branch=_HELD)
         else:
             twist, decision = controller_step(
                 z_ctrl, gains, scenario.controller, scenario.limits, anchor, scenario.dt
             )
-            u, u0_branch, u1_branch, in_gamma = decision
         sample = TrajectorySample(
             t,
             pose,
             z_true,
             twist,
-            u,
-            u0_branch,
-            u1_branch,
-            in_gamma,
+            *decision,
             est_angle_err,
             est_trans_err,
             visible,

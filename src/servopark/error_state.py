@@ -20,10 +20,11 @@ dynamics under the unicycle flow, in tests/test_error_state.py.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ZeroAnchorDepth
+from .errors import InvalidParams, ZeroAnchorDepth
 from .geometry import PlanarTransform
 
 
@@ -60,6 +61,8 @@ class AnchorDepth:
     Z_star: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.Z_star):
+            raise InvalidParams("anchor height must be finite")
         if self.Z_star == 0.0:
             raise ZeroAnchorDepth("anchor height must be nonzero")
 

@@ -40,8 +40,9 @@ def wrap_angle(theta: float) -> float:
 class Pose2:
     """Planar pose (x, y, theta) of a frame expressed in a parent frame.
 
-    A dataclass, not a named tuple: ``__post_init__`` wraps the angle, and
-    the scenario parser builds it from JSON through ``fields()``.
+    A dataclass, not a named tuple: ``__post_init__`` refuses a non-finite
+    coordinate and wraps the angle, and the scenario parser builds it from
+    JSON through ``fields()``.
     """
 
     x: float
@@ -49,6 +50,8 @@ class Pose2:
     theta: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.theta)):
+            raise InvalidParams("pose must be finite")
         object.__setattr__(self, "theta", wrap_angle(self.theta))
 
     def compose(self, other: "Pose2") -> "Pose2":

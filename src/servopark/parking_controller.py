@@ -65,6 +65,9 @@ class ControllerParams:
             raise InvalidParams("xi must be positive")
         if not self.delta > 0.0:
             raise InvalidParams("delta must be positive")
+        values = (self.kappa0, self.kappa2, self.epsilon, self.xi, self.delta)
+        if not all(map(math.isfinite, values)):
+            raise InvalidParams("controller parameters must be finite")
 
 
 #: Gain set used by all built-in scenarios.
@@ -100,6 +103,8 @@ class TwistLimits:
     def __post_init__(self) -> None:
         if not (self.v_max > 0.0 and self.omega_max > 0.0):
             raise InvalidParams("twist limits must be positive")
+        if not (math.isfinite(self.v_max) and math.isfinite(self.omega_max)):
+            raise InvalidParams("twist limits must be finite")
 
 
 def implicit_cbrt(z: float, dt: float) -> float:

@@ -49,7 +49,7 @@ from servopark.geometry import (
     relative_transform,
     wrap_angle,
 )
-from servopark.parking_controller import PROPOSED_PARAMS, TwistLimits
+from servopark.parking_controller import PROPOSED_PARAMS, ControlDecision, TwistLimits
 from servopark.pose_estimator import MatchedPair, estimate_pose
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -358,15 +358,22 @@ class TestRunBasics:
         ids=["blind", "case1_noisy"],
     )
     def test_held_sample_carries_its_decisions_in_gamma(self, scenario):
+        # run() splats a ControlDecision into these four fields
+        assert TrajectorySample._fields[4:8] == ControlDecision._fields
         samples, _ = run(scenario)
         decided = False  # in_gamma of the last controlled sample
+        twist = BodyTwist(0.0, 0.0)  # the twist in force before the first decision
         held = 0
         for s in samples:
             if s.u0_branch == "held":
                 held += 1
+                assert s.u1_branch == "held", s.t
+                assert math.isnan(s.u.u0) and math.isnan(s.u.u1), s.t
+                assert s.twist == twist, s.t
                 assert s.in_gamma is decided, s.t
             else:
                 decided = s.in_gamma
+            twist = s.twist
         assert held > 0
 
     def test_log_holds_only_the_documented_labels(self, case_runs):
@@ -627,13 +634,22 @@ class TestScenarioValidation:
             (lambda: FeaturePoint3(3.0, math.nan, 0.5), "feature coordinates must be finite"),
             (
                 lambda: Scenario(initial_pose=Pose2(math.nan, 0.0, 0.0)),
-                "initial_pose must be finite",
+                "pose must be finite",
             ),
-            (lambda: Scenario(goal_pose=Pose2(0.0, math.inf, 0.0)), "goal_pose must be finite"),
+            (lambda: Scenario(goal_pose=Pose2(0.0, math.inf, 0.0)), "pose must be finite"),
             (
                 lambda: GoalUpdate(1.0, Pose2(0.0, 0.0, math.nan)),
-                "goal update pose must be finite",
+                "pose must be finite",
             ),
+            (lambda: Pose2(0.0, 0.0, math.inf), "pose must be finite"),
+            (
+                lambda: dataclasses.replace(PROPOSED_PARAMS, kappa0=math.inf),
+                "controller parameters must be finite",
+            ),
+            (lambda: TwistLimits(math.inf, 1.0), "twist limits must be finite"),
+            (lambda: ConvergenceSpec(pos_tol=math.inf), "convergence tolerances must be finite"),
+            (lambda: GoalUpdate(math.inf, Pose2(0.0, 0.0, 0.0)), "goal update time must be finite"),
+            (lambda: AnchorDepth(math.nan), "anchor height must be finite"),
         ],
         ids=[
             "convergence_spec", "goal_update_time", "no_features", "estimated_one_feature",
@@ -641,7 +657,9 @@ class TestScenarioValidation:
             "integrate_dt", "feature_depth", "feature_height", "twist_limits", "pair_depth",
             "intrinsics_c_x_nan", "intrinsics_f_x_inf", "feature_height_nan",
             "feature_depth_inf", "feature_lateral_nan", "initial_pose_nan", "goal_pose_inf",
-            "goal_update_pose_nan",
+            "goal_update_pose_nan", "pose_theta_inf", "controller_kappa0_inf",
+            "twist_limits_inf", "convergence_pos_tol_inf", "goal_update_time_inf",
+            "anchor_nan",
         ],
     )
     def test_invalid_params_refused(self, build, message):

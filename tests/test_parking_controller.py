@@ -131,7 +131,7 @@ class TestBranchLaws:
             ChainedState(0.0, 0.0, -5.0),
             GAINS,
             PROPOSED_PARAMS,
-            TwistLimits(float("inf"), float("inf")),
+            TwistLimits(10.0, 10.0),  # exercises the clamp without binding
             AnchorDepth(0.6),
         )
         assert dec.u0_branch == "in_gamma"
@@ -207,7 +207,7 @@ class TestBranchLaws:
 
     def test_limits_clamp_and_report(self):
         z = ChainedState(1.5, 3.0, -2.0)
-        unlimited, _ = step(z, GAINS, PROPOSED_PARAMS, TwistLimits(float("inf"), float("inf")), AnchorDepth(0.6))
+        unlimited, _ = step(z, GAINS, PROPOSED_PARAMS, None, AnchorDepth(0.6))
         limited, _ = step(z, GAINS, PROPOSED_PARAMS, TwistLimits(1.0, 1.0), AnchorDepth(0.6))
         assert abs(unlimited.v) > 1.0  # the clamp is actually exercised
         assert abs(limited.v) <= 1.0

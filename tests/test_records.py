@@ -3,11 +3,17 @@
 import dataclasses
 import importlib
 import inspect
+import math
 import pkgutil
 
 import pytest
 
 import servopark
+from servopark.closed_loop_sim import ConvergenceSpec, GoalUpdate, Scenario
+from servopark.error_state import AnchorDepth
+from servopark.errors import InvalidParams
+from servopark.geometry import DEFAULT_INTRINSICS, CameraIntrinsics, FeaturePoint3, Pose2
+from servopark.parking_controller import PROPOSED_PARAMS, ControllerParams, TwistLimits
 
 
 def _records():
@@ -32,3 +38,33 @@ def test_every_record_is_slotted_and_frozen():
         assert not hasattr(instance, "__dict__"), name
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(instance, dataclasses.fields(cls)[0].name, 0.0)
+
+
+# One valid instance of each record that __post_init__ validates.  MatchedPair
+# validates in its own __init__ and is covered by TestMatchedPair.
+_VALID = {
+    Pose2: Pose2(1.0, 2.0, 0.3),
+    CameraIntrinsics: DEFAULT_INTRINSICS,
+    FeaturePoint3: FeaturePoint3(3.0, -0.5, 0.6),
+    ControllerParams: PROPOSED_PARAMS,
+    TwistLimits: TwistLimits(1.0, 1.0),
+    AnchorDepth: AnchorDepth(0.6),
+    ConvergenceSpec: ConvergenceSpec(),
+    GoalUpdate: GoalUpdate(1.0, Pose2(0.0, 0.0, 0.0)),
+    Scenario: Scenario(),
+}
+
+
+def test_every_validated_record_refuses_non_finite_numbers():
+    validated = {cls for cls in _records() if "__post_init__" in vars(cls)}
+    assert validated == set(_VALID), sorted(c.__name__ for c in validated ^ set(_VALID))
+    for cls, instance in _VALID.items():
+        names = [f.name for f in dataclasses.fields(cls) if f.type in ("float", float)]
+        assert names, cls.__name__
+        for name in names:
+            for value in (math.inf, -math.inf, math.nan):
+                try:
+                    dataclasses.replace(instance, **{name: value})
+                except InvalidParams:
+                    continue
+                pytest.fail(f"{cls.__name__}({name}={value}) was admitted")
