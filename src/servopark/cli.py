@@ -20,7 +20,7 @@ from typing import get_args, get_origin, get_type_hints
 from .closed_loop_sim import (
     PerceptionMode,
     Scenario,
-    TrajectorySample,
+    TrajectoryLog,
     case_scenarios,
     generate_observations,
     run,
@@ -32,29 +32,30 @@ from .pose_estimator import MatchedPair, estimate_pose
 
 SEED_ENV_VAR = "SERVOPARK_SEED"
 
-# One row per column of <name>_traj.csv, in file order: header name,
-# TrajectorySample attribute path, printf format.
+# One row per column of <name>_traj.csv, in file order: header name and
+# printf format.  TrajectoryLog.rows() gives a sample's values in this order.
 TRAJ_COLUMNS = (
-    ("t", "t", "%.17g"),
-    ("x", "pose.x", "%.17g"),
-    ("y", "pose.y", "%.17g"),
-    ("theta", "pose.theta", "%.17g"),
-    ("z0", "z.z0", "%.17g"),
-    ("z1", "z.z1", "%.17g"),
-    ("z2", "z.z2", "%.17g"),
-    ("v", "twist.v", "%.17g"),
-    ("omega", "twist.omega", "%.17g"),
-    ("u0", "u.u0", "%.17g"),
-    ("u1", "u.u1", "%.17g"),
-    ("u0_branch", "u0_branch", "%s"),
-    ("u1_branch", "u1_branch", "%s"),
-    ("in_gamma", "in_gamma", "%d"),
-    ("est_angle_err", "est_angle_err", "%.17g"),
-    ("est_trans_err", "est_trans_err", "%.17g"),
-    ("visible_count", "visible_count", "%d"),
+    ("t", "%.17g"),
+    ("x", "%.17g"),
+    ("y", "%.17g"),
+    ("theta", "%.17g"),
+    ("z0", "%.17g"),
+    ("z1", "%.17g"),
+    ("z2", "%.17g"),
+    ("v", "%.17g"),
+    ("omega", "%.17g"),
+    ("u0", "%.17g"),
+    ("u1", "%.17g"),
+    ("u0_branch", "%s"),
+    ("u1_branch", "%s"),
+    ("in_gamma", "%d"),
+    ("est_angle_err", "%.17g"),
+    ("est_trans_err", "%.17g"),
+    ("visible_count", "%d"),
 )
 
-# the same for a pairs file, one MatchedPair per row: its five slots
+# The columns of a pairs file, one MatchedPair per row: header name, the
+# slot the column reads, printf format.
 PAIRS_COLUMNS = (
     ("x_cur", "x_cur", "%.17g"),
     ("y_cur", "y_cur", "%.17g"),
@@ -63,15 +64,11 @@ PAIRS_COLUMNS = (
     ("X_star", "X_star", "%.17g"),
 )
 
-
-def _layout(columns):
-    """Header line, row template and row-values getter of a column table."""
-    names, paths, formats = zip(*columns)
-    return ",".join(names), ",".join(formats), attrgetter(*paths)
-
-
-TRAJ_HEADER, _TRAJ_ROW, _traj_values = _layout(TRAJ_COLUMNS)
-PAIRS_HEADER, _PAIRS_ROW, _pairs_values = _layout(PAIRS_COLUMNS)
+TRAJ_HEADER = ",".join(name for name, _ in TRAJ_COLUMNS)
+_TRAJ_ROW = ",".join(fmt for _, fmt in TRAJ_COLUMNS)
+PAIRS_HEADER = ",".join(name for name, _, _ in PAIRS_COLUMNS)
+_PAIRS_ROW = ",".join(fmt for _, _, fmt in PAIRS_COLUMNS)
+_pairs_values = attrgetter(*(slot for _, slot, _ in PAIRS_COLUMNS))
 
 
 def _write_lines(path: str, lines) -> None:
@@ -82,12 +79,12 @@ def _write_lines(path: str, lines) -> None:
             f.write("\n")
 
 
-def write_traj_csv(path: str, samples: list[TrajectorySample]) -> None:
-    _write_lines(path, chain((TRAJ_HEADER,), (_TRAJ_ROW % _traj_values(s) for s in samples)))
+def write_traj_csv(path: str, log: TrajectoryLog) -> None:
+    _write_lines(path, chain((TRAJ_HEADER,), map(_TRAJ_ROW.__mod__, log.rows())))
 
 
-def write_z0z1_csv(path: str, samples: list[TrajectorySample]) -> None:
-    rows = ("%.17g,%.17g" % (s.t, abs(s.z.z0) + abs(s.z.z1)) for s in samples)
+def write_z0z1_csv(path: str, log: TrajectoryLog) -> None:
+    rows = ("%.17g,%.17g" % (r[0], abs(r[4]) + abs(r[5])) for r in log.rows())  # t, z0, z1
     _write_lines(path, chain(("t,z0z1",), rows))
 
 
@@ -275,14 +272,14 @@ def _run_outcome(out_dir: str, scenario: Scenario, plot: bool) -> tuple[int, dic
     """
     os.makedirs(out_dir, exist_ok=True)
     try:
-        samples, summary = run(scenario)
+        log, summary = run(scenario)
     except EstimatorStarvation as exc:
         return 3, {"status": "starved", "error": str(exc)}
     base = os.path.join(out_dir, scenario.name)
-    write_traj_csv(base + "_traj.csv", samples)
+    write_traj_csv(base + "_traj.csv", log)
     _write_lines(base + "_summary.json", [json.dumps(asdict(summary), indent=2)])
     if plot:
-        write_z0z1_csv(base + "_z0z1.csv", samples)
+        write_z0z1_csv(base + "_z0z1.csv", log)
     if summary.converged:
         return 0, {"status": "converged", **asdict(summary)}
     return 2, {"status": "not_converged", **asdict(summary)}

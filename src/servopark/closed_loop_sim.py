@@ -14,7 +14,8 @@ same scenario agree byte for byte.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from array import array
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -196,6 +197,112 @@ class TrajectorySample(NamedTuple):
     visible_count: int
 
 
+_FLOATS = 13  # floats a sample logs: t, pose, z, twist, u and the two estimate errors
+
+
+def _shared_nan(x: float) -> float:
+    """``x``, or the one ``math.nan`` object, so that equal samples compare equal."""
+    return x if x == x else math.nan
+
+
+class TrajectoryLog(Sequence[TrajectorySample]):
+    """A run's log: a read-only sequence of TrajectorySample, stored flat.
+
+    Each sample is 13 floats in one ``array('d')`` (``t, x, y, theta, z0,
+    z1, z2, v, omega, u0, u1, est_angle_err, est_trans_err``) plus its two
+    branch labels, ``in_gamma`` and ``visible_count`` in plain lists: about
+    144 B a sample, where a list of samples takes about 640 B.  Samples are
+    built when they are read, by index, slice (a list) or iteration;
+    ``rows()`` gives the same values as flat tuples without building them.
+    ``TrajectoryLog(samples)`` packs any iterable of samples.  Two logs are
+    equal when they hold the same bits.
+    """
+
+    __slots__ = ("_floats", "_u0_branch", "_u1_branch", "_in_gamma", "_visible_count")
+
+    def __init__(self, samples: Iterable[TrajectorySample] = ()) -> None:
+        self._floats = array("d")
+        self._u0_branch: list[str] = []
+        self._u1_branch: list[str] = []
+        self._in_gamma: list[bool] = []
+        self._visible_count: list[int] = []
+        for s in samples:
+            decision = s[4:8]  # u, u0_branch, u1_branch, in_gamma
+            self._append(
+                s.t, s.pose, s.z, s.twist, decision, s.est_angle_err, s.est_trans_err,
+                s.visible_count,
+            )
+
+    def _append(self, t, pose, z, twist, decision, est_angle_err, est_trans_err, visible_count):
+        """Log one sample from its parts, without building it."""
+        z0, z1, z2 = z
+        v, omega = twist
+        u, u0_branch, u1_branch, in_gamma = decision
+        u0, u1 = u
+        self._floats.fromlist(
+            [t, pose.x, pose.y, pose.theta, z0, z1, z2, v, omega, u0, u1, est_angle_err,
+             est_trans_err]
+        )
+        self._u0_branch.append(u0_branch)
+        self._u1_branch.append(u1_branch)
+        self._in_gamma.append(in_gamma)
+        self._visible_count.append(visible_count)
+
+    def _float_rows(self) -> Iterator[tuple[float, ...]]:
+        """Each sample's 13 floats as one tuple, in log order."""
+        return zip(*[iter(self._floats)] * _FLOATS)
+
+    def rows(self) -> Iterator[tuple]:
+        """Each sample as one flat tuple, in the traj CSV's column order:
+        TrajectorySample's fields with ``pose``, ``z``, ``twist`` and ``u``
+        spread out."""
+        for (t, x, y, theta, z0, z1, z2, v, omega, u0, u1, ea, et), b0, b1, g, n in zip(
+            self._float_rows(),
+            self._u0_branch,
+            self._u1_branch,
+            self._in_gamma,
+            self._visible_count,
+        ):
+            yield t, x, y, theta, z0, z1, z2, v, omega, u0, u1, b0, b1, g, ea, et, n
+
+    @staticmethod
+    def _sample(row: tuple) -> TrajectorySample:
+        t, x, y, theta, z0, z1, z2, v, omega, u0, u1, b0, b1, g, ea, et, n = row
+        u = ChainedInput(_shared_nan(u0), _shared_nan(u1))
+        return TrajectorySample(
+            t, Pose2(x, y, theta), ChainedState(z0, z1, z2), BodyTwist(v, omega), u, b0, b1, g,
+            _shared_nan(ea), _shared_nan(et), n,
+        )
+
+    def __len__(self) -> int:
+        return len(self._visible_count)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        n = len(self)
+        i = index + n if index < 0 else index
+        if not 0 <= i < n:
+            raise IndexError("trajectory log index out of range")
+        f = self._floats[_FLOATS * i : _FLOATS * (i + 1)]
+        labels = (self._u0_branch[i], self._u1_branch[i], self._in_gamma[i])
+        return self._sample((*f[:11], *labels, f[11], f[12], self._visible_count[i]))
+
+    def __iter__(self) -> Iterator[TrajectorySample]:
+        return map(self._sample, self.rows())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TrajectoryLog):
+            return NotImplemented
+        return (
+            self._floats.tobytes() == other._floats.tobytes()
+            and self._u0_branch == other._u0_branch
+            and self._u1_branch == other._u1_branch
+            and self._in_gamma == other._in_gamma
+            and self._visible_count == other._visible_count
+        )
+
+
 @dataclass(frozen=True, slots=True)
 class RunSummary:
     """A dataclass: ``asdict`` gives the summary JSON, in field order."""
@@ -323,12 +430,13 @@ def _step_count(scenario: Scenario) -> int:
     return math.floor(scenario.t_max / scenario.dt + 1e-9)
 
 
-def _convergence(scenario: Scenario) -> Callable[[TrajectorySample], bool]:
-    """The convergence rule, one sample at a time: True at a sample that ends a quiet window.
+def _convergence(scenario: Scenario) -> Callable[..., bool]:
+    """The convergence rule, one sample at a time, as ``ends_window(t, z0, z1, z2, v, omega)``.
 
-    A window is one second of samples in a row with the true state within
-    tolerance and the commanded (post-clamp) twist quiet, counted from the
-    last goal update that run() applies.
+    ``ends_window`` is True at a sample that ends a quiet window: one second
+    of samples in a row with the true state within tolerance and the
+    commanded (post-clamp) twist quiet, counted from the last goal update
+    that run() applies.
     """
     spec = scenario.convergence
     z_scale = abs(scenario.anchor().Z_star)
@@ -337,14 +445,14 @@ def _convergence(scenario: Scenario) -> Callable[[TrajectorySample], bool]:
     t_settle = max((u.t for u in scenario.goal_updates if u.t <= t_end + 1e-12), default=0.0)
     streak = 0
 
-    def ends_window(s: TrajectorySample) -> bool:
+    def ends_window(t: float, z0: float, z1: float, z2: float, v: float, omega: float) -> bool:
         nonlocal streak
         in_tol = (
-            s.t + 1e-12 >= t_settle  # earlier samples were aimed at an old goal
-            and z_scale * math.hypot(s.z.z1, s.z.z2) < spec.pos_tol
-            and abs(s.z.z0) < spec.ang_tol
-            and abs(s.twist.v) < TWIST_QUIET
-            and abs(s.twist.omega) < TWIST_QUIET
+            t + 1e-12 >= t_settle  # earlier samples were aimed at an old goal
+            and z_scale * math.hypot(z1, z2) < spec.pos_tol
+            and abs(z0) < spec.ang_tol
+            and abs(v) < TWIST_QUIET
+            and abs(omega) < TWIST_QUIET
         )
         streak = streak + 1 if in_tol else 0
         return streak >= window
@@ -352,7 +460,7 @@ def _convergence(scenario: Scenario) -> Callable[[TrajectorySample], bool]:
     return ends_window
 
 
-def run(scenario: Scenario) -> tuple[list[TrajectorySample], RunSummary]:
+def run(scenario: Scenario) -> tuple[TrajectoryLog, RunSummary]:
     """Simulate until convergence or t_max; returns the full log and summary.
 
     Each step applies due goal updates, perceives (see ``perception``),
@@ -371,7 +479,7 @@ def run(scenario: Scenario) -> tuple[list[TrajectorySample], RunSummary]:
     goal = scenario.goal_pose
     twist = BodyTwist(0.0, 0.0)  # held through starved steps, with its decision's in_gamma
     decision = _NOT_DECIDED
-    samples: list[TrajectorySample] = []
+    log = TrajectoryLog()
     next_update = 0
 
     for k in range(n_steps + 1):
@@ -390,58 +498,57 @@ def run(scenario: Scenario) -> tuple[list[TrajectorySample], RunSummary]:
             twist, decision = controller_step(
                 z_ctrl, gains, scenario.controller, scenario.limits, anchor, scenario.dt
             )
-        sample = TrajectorySample(
-            t,
-            pose,
-            z_true,
-            twist,
-            *decision,
-            est_angle_err,
-            est_trans_err,
-            visible,
-        )
-        samples.append(sample)
-        if ends_window(sample) or k == n_steps:
+        log._append(t, pose, z_true, twist, decision, est_angle_err, est_trans_err, visible)
+        z0, z1, z2 = z_true
+        v, omega = twist
+        if ends_window(t, z0, z1, z2, v, omega) or k == n_steps:
             break
         pose = integrate_unicycle(pose, twist, scenario.dt)
 
-    return samples, summarize(samples, scenario)
+    return log, summarize(log, scenario)
 
 
-def summarize(samples: list[TrajectorySample], scenario: Scenario) -> RunSummary:
+def summarize(samples: Sequence[TrajectorySample], scenario: Scenario) -> RunSummary:
     """Recompute the run verdict and aggregates from a log.
 
+    Any other sequence of samples is packed into a TrajectoryLog first.
     The verdict comes from ``_convergence``, as in run().  The final
     sample's twist is never applied, so it is excluded from the path length.
     """
-    if not samples:
+    log = samples if isinstance(samples, TrajectoryLog) else TrajectoryLog(samples)
+    if not log:
         raise EmptyLog("cannot summarize an empty trajectory log")
     ends_window = _convergence(scenario)
+    dt = scenario.dt
+    last = len(log) - 1
     t_converge: float | None = None
     path_length = 0.0
     max_abs_v = 0.0
     max_abs_omega = 0.0
     peak_z0z1 = 0.0
-    for i, s in enumerate(samples):
-        if i + 1 < len(samples):
-            path_length += abs(s.twist.v) * scenario.dt
-        max_abs_v = max(max_abs_v, abs(s.twist.v))
-        max_abs_omega = max(max_abs_omega, abs(s.twist.omega))
-        peak_z0z1 = max(peak_z0z1, abs(s.z.z0) + abs(s.z.z1))
-        if ends_window(s) and t_converge is None:
-            t_converge = s.t
-    last = samples[-1]
+    # each `if a > m: m = a` is max(m, a), which keeps m unless a > m
+    for i, (t, _, _, _, z0, z1, z2, v, omega, _, _, _, _) in enumerate(log._float_rows()):
+        if i < last:
+            path_length += abs(v) * dt
+        if abs(v) > max_abs_v:
+            max_abs_v = abs(v)
+        if abs(omega) > max_abs_omega:
+            max_abs_omega = abs(omega)
+        if abs(z0) + abs(z1) > peak_z0z1:
+            peak_z0z1 = abs(z0) + abs(z1)
+        if ends_window(t, z0, z1, z2, v, omega) and t_converge is None:
+            t_converge = t
     z_scale = abs(scenario.anchor().Z_star)
-    return RunSummary(
+    return RunSummary(  # z0..z2 are the last sample's
         converged=t_converge is not None,
         t_converge=t_converge,
-        final_pos_err=z_scale * math.hypot(last.z.z1, last.z.z2),
-        final_ang_err=abs(last.z.z0),
+        final_pos_err=z_scale * math.hypot(z1, z2),
+        final_ang_err=abs(z0),
         path_length=path_length,
         max_abs_v=max_abs_v,
         max_abs_omega=max_abs_omega,
         peak_z0z1=peak_z0z1,
-        samples=len(samples),
+        samples=len(log),
     )
 
 

@@ -3,6 +3,9 @@
 import dataclasses
 import importlib
 import math
+import sys
+import tracemalloc
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,7 @@ from servopark.closed_loop_sim import (
     GoalUpdate,
     PerceptionMode,
     Scenario,
+    TrajectoryLog,
     TrajectorySample,
     case_scenarios,
     default_object_features,
@@ -565,6 +569,107 @@ class TestSummarize:
         sc = Scenario(goal_pose=Pose2(0.0, 0.0, 0.0))
         with pytest.raises(EmptyLog):
             summarize([], sc)
+
+
+def _sample_floats(s):
+    """The 13 floats of a sample, in log order."""
+    return (s.t, s.pose.x, s.pose.y, s.pose.theta, *s.z, *s.twist, *s.u,
+            s.est_angle_err, s.est_trans_err)
+
+
+@pytest.fixture(scope="module")
+def noisy_case1_run():
+    return run(_NOISY_CASE1)
+
+
+class TestTrajectoryLog:
+    def test_sequence_contract(self, case_runs):
+        log, _ = case_runs["case1"]
+        samples = list(log)
+        n = len(samples)
+        assert isinstance(log, TrajectoryLog) and isinstance(log, Sequence)
+        assert len(log) == n == 5251
+        assert log[-1] == samples[-1] == log[n - 1]
+        assert log[-n] == samples[0] == log[0]
+        assert log[0] == log[0]  # ground-truth NaN errors read back as one shared NaN
+        assert log[17].pose == samples[17].pose and log[17].t == 17 * 0.01
+        for cut in (slice(None), slice(2, 40, 3), slice(-5, None), slice(None, None, -7),
+                    slice(10, 3), slice(n, n + 4)):
+            assert isinstance(log[cut], list)
+            assert log[cut] == samples[cut], cut
+        for bad in (n, -n - 1, 10**9):
+            with pytest.raises(IndexError):
+                log[bad]
+        with pytest.raises(TypeError):
+            log[0] = samples[0]
+
+    def test_packing_a_list_keeps_every_bit(self, noisy_case1_run):
+        log, _ = noisy_case1_run
+        assert "held" in log._u0_branch  # the round trip covers held samples
+        copy = TrajectoryLog(list(log))
+        assert copy._floats.tobytes() == log._floats.tobytes()
+        assert copy._u0_branch == log._u0_branch
+        assert copy._u1_branch == log._u1_branch
+        assert copy._in_gamma == log._in_gamma
+        assert copy._visible_count == log._visible_count
+        assert copy == log and not copy != log
+
+    def test_negative_zero_and_nan_read_back_bit_for_bit(self):
+        nan, neg = math.nan, -0.0
+        written = [
+            TrajectorySample(neg, Pose2(neg, neg, neg), ChainedState(neg, neg, neg),
+                             BodyTwist(neg, neg), ChainedInput(neg, neg), "in_gamma",
+                             "kappa2", True, neg, neg, 6),
+            TrajectorySample(nan, Pose2(neg, 1.0, neg), ChainedState(nan, nan, nan),
+                             BodyTwist(nan, nan), ChainedInput(nan, nan), "held", "held",
+                             False, nan, nan, 0),
+        ]
+        log = TrajectoryLog(written)
+        for w, r in zip(written, log):
+            hexes = [list(map(float.hex, _sample_floats(x))) for x in (r, w)]
+            assert hexes[0] == hexes[1]
+            assert (r.u0_branch, r.u1_branch, r.in_gamma, r.visible_count) == (
+                w.u0_branch, w.u1_branch, w.in_gamma, w.visible_count)
+            assert type(r.in_gamma) is bool and type(r.visible_count) is int
+        # equality is bitwise: NaN rows equal themselves, and -0.0 is not 0.0
+        assert log == TrajectoryLog(written)
+        assert log != TrajectoryLog([written[0]._replace(t=0.0), written[1]])
+
+    @pytest.mark.parametrize("held", [False, True], ids=["estimated", "blind"])
+    def test_run_builds_no_sample(self, monkeypatch, held):
+        import servopark.closed_loop_sim as sim
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run() built a TrajectorySample")
+
+        camera = CameraIntrinsics(460.0, 460.0, -5000.0, 240.0, 640, 480, 0.1)  # sees nothing
+        sc = corridor_scenario(perception_mode=PerceptionMode.ESTIMATED, t_max=0.5,
+                               **({"intrinsics": camera} if held else {}))
+        monkeypatch.setattr(sim, "TrajectorySample", refuse)
+        log, summary = run(sc)
+        assert summary.samples == len(log) == 51
+        assert (log._u0_branch[-1] == "held") == held
+        with pytest.raises(AssertionError):
+            log[0]  # a read builds one
+
+    def test_one_summary_path(self, case_runs, noisy_case1_run):
+        runs = {name: (sc, case_runs[name]) for name, sc in case_scenarios().items()}
+        runs["case1_noisy"] = (_NOISY_CASE1, noisy_case1_run)
+        for name, (sc, (log, summary)) in runs.items():
+            assert summarize(list(log), sc) == summarize(log, sc) == summary, name
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="object sizes of CPython 3.11")
+    def test_at_most_160_bytes_a_sample(self):
+        sc = case_scenarios()["case1"]
+        run(sc)  # anything a first run caches is allocated before tracing starts
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            log, _ = run(sc)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held / len(log) <= 160
 
 
 class TestScenarioValidation:
