@@ -55,7 +55,7 @@ TRAJ_COLUMNS = (
 )
 
 # The columns of a pairs file, one MatchedPair per row: header name, the
-# slot the column reads, printf format.
+# attribute the column reads, printf format.
 PAIRS_COLUMNS = (
     ("x_cur", "x_cur", "%.17g"),
     ("y_cur", "y_cur", "%.17g"),
@@ -68,7 +68,7 @@ TRAJ_HEADER = ",".join(name for name, _ in TRAJ_COLUMNS)
 _TRAJ_ROW = ",".join(fmt for _, fmt in TRAJ_COLUMNS)
 PAIRS_HEADER = ",".join(name for name, _, _ in PAIRS_COLUMNS)
 _PAIRS_ROW = ",".join(fmt for _, _, fmt in PAIRS_COLUMNS)
-_pairs_values = attrgetter(*(slot for _, slot, _ in PAIRS_COLUMNS))
+_pairs_values = attrgetter(*(attr for _, attr, _ in PAIRS_COLUMNS))
 
 
 def _write_lines(path: str, lines) -> None:

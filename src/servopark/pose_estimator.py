@@ -12,21 +12,24 @@ an unconstrained linear least squares with a closed-form solution.
 
 The whole pipeline is deterministic: pairs are put into a canonical order
 before any summation, so permuting the input list cannot change a single
-bit of the output.  Each call unpacks every pair once, in that order, into
-a plain tuple (x, y, x_ref, y_ref, X_star, y_ref / y): ``accumulate`` sums
-over those tuples and hands them on with its sums, so the translation
-stage of ``estimate_pose`` runs over the same tuples.  ``accumulate`` sums
-with an inlined loop below ``_VECTOR_MIN`` features and with numpy from
-there on; both reproduce, bit for bit, the per-pair coefficient reference
-kept in tests/conftest.py.  ``_translation`` inlines the per-feature
-expressions of ``_terms``.
+bit of the output.  A ``MatchedPair`` is its five doubles packed in the
+order of the sort key, (x_ref, y_ref, x_cur, y_cur, X_star), so each call
+unpacks every pair once, sorts the unpacked tuples as they are, and turns
+each into a plain tuple (x, y, x_ref, y_ref, X_star, y_ref / y).
+``accumulate`` sums over those tuples and hands them on with its sums, so
+the translation stage of ``estimate_pose`` runs over the same tuples.
+``accumulate`` sums with an inlined loop below ``_VECTOR_MIN`` features and
+with numpy from there on; both reproduce, bit for bit, the per-pair
+coefficient reference kept in tests/conftest.py.  ``_translation`` inlines the
+per-feature expressions of ``_terms``.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain
 
@@ -47,23 +50,25 @@ MAX_FEATURES = 64  # reject rather than silently subsample
 _VECTOR_MIN = 14
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class MatchedPair:
+# A pair's five doubles, packed in the canonical order that _rows sorts by.
+_PACKED = struct.Struct("=5d")
+_unpack = _PACKED.unpack
+
+
+class MatchedPair(bytes):
     """One feature correspondence: current view, reference view, reference depth.
 
-    Stored flat, as the five floats of a pairs-file row; ``cur`` and ``ref``
-    are built on demand.  ``__init__`` takes the two views and the depth: it
-    is the one admission check for a feature, and writes the slots only once
-    the feature is admitted.
+    Stored as its five doubles packed into the pair itself, in the canonical
+    order ``(x_ref, y_ref, x_cur, y_cur, X_star)``; the named fields and the
+    views ``cur`` and ``ref`` are unpacked on read, so a pair holds no float
+    object.  ``__new__`` takes the two views and the depth: it is the one
+    admission check for a feature, and packs only an admitted feature.  Two
+    pairs are equal, and hash alike, when they hold the same bits.
     """
 
-    x_cur: float
-    y_cur: float
-    x_ref: float
-    y_ref: float
-    X_star: float
+    __slots__ = ()
 
-    def __init__(self, cur: NormalizedFeature, ref: NormalizedFeature, X_star: float) -> None:
+    def __new__(cls, cur: NormalizedFeature, ref: NormalizedFeature, X_star: float) -> MatchedPair:
         x_cur, y_cur, x_ref, y_ref = cur.x, cur.y, ref.x, ref.y
         if not (
             math.isfinite(x_cur)
@@ -76,25 +81,34 @@ class MatchedPair:
             raise DegenerateFeature("vertical normalized coordinate too close to zero")
         if not 0.0 < X_star < math.inf:
             raise InvalidParams("reference depth must be positive and finite")
-        # the slots' own setters: object.__setattr__ would double the cost of a pair
-        _set_x_cur(self, x_cur)
-        _set_y_cur(self, y_cur)
-        _set_x_ref(self, x_ref)
-        _set_y_ref(self, y_ref)
-        _set_X_star(self, X_star)
+        return bytes.__new__(cls, _PACKED.pack(x_ref, y_ref, x_cur, y_cur, X_star))
+
+    def __reduce__(self):
+        # pickle and copy, at every protocol, rebuild a pair through the admission check
+        return (type(self), (self.cur, self.ref, self.X_star))
+
+    def __repr__(self) -> str:
+        x_ref, y_ref, x_cur, y_cur, X_star = _unpack(self)
+        return (
+            f"MatchedPair(x_cur={x_cur!r}, y_cur={y_cur!r}, x_ref={x_ref!r},"
+            f" y_ref={y_ref!r}, X_star={X_star!r})"
+        )
+
+    __str__ = __repr__  # bytes.__str__ would print the packed bytes
+
+    x_ref = property(lambda self: _unpack(self)[0])
+    y_ref = property(lambda self: _unpack(self)[1])
+    x_cur = property(lambda self: _unpack(self)[2])
+    y_cur = property(lambda self: _unpack(self)[3])
+    X_star = property(lambda self: _unpack(self)[4])
 
     @property
     def cur(self) -> NormalizedFeature:
-        return NormalizedFeature(self.x_cur, self.y_cur)
+        return NormalizedFeature(*_unpack(self)[2:4])
 
     @property
     def ref(self) -> NormalizedFeature:
-        return NormalizedFeature(self.x_ref, self.y_ref)
-
-
-_set_x_cur, _set_y_cur, _set_x_ref, _set_y_ref, _set_X_star = (
-    vars(MatchedPair)[f.name].__set__ for f in fields(MatchedPair)
-)
+        return NormalizedFeature(*_unpack(self)[:2])
 
 
 # One matched pair, unpacked: (x, y, x_ref, y_ref, X_star, y_ref / y).
@@ -142,9 +156,9 @@ class PlanarTransformEstimate:
 
 
 def _rows(pairs: list[MatchedPair]) -> list[_Row]:
-    # fixed summation order makes the estimate permutation-invariant bit for bit
-    ordered = sorted(pairs, key=lambda p: (p.x_ref, p.y_ref, p.x_cur, p.y_cur, p.X_star))
-    return [(p.x_cur, p.y_cur, p.x_ref, p.y_ref, p.X_star, p.y_ref / p.y_cur) for p in ordered]
+    # fixed summation order makes the estimate permutation-invariant bit for bit;
+    # a pair is packed in that order, so its unpacked tuple is its sort key
+    return [(x, y, xr, yr, X, yr / y) for xr, yr, x, y, X in sorted(map(_unpack, pairs))]
 
 
 def accumulate(pairs: list[MatchedPair]) -> NormalAccumulators:

@@ -1,8 +1,10 @@
 """Closed-form planar pose estimation from matched feature pairs."""
 
+import copy
 import dataclasses
 import gc
 import math
+import pickle
 import sys
 import tracemalloc
 
@@ -210,27 +212,62 @@ class TestMatchedPair:
         assert p == q and hash(p) == hash(q)
         assert p != MatchedPair(NormalizedFeature(0.1, 0.2), NormalizedFeature(0.15, 0.22), 3.5)
 
-    def test_holds_five_floats_only(self):
-        values = (0.1, 0.2, 0.15, 0.22, 3.0)
-        p = MatchedPair(NormalizedFeature(*values[:2]), NormalizedFeature(*values[2:4]), values[4])
-        assert sorted(map(id, gc.get_referents(p))) == sorted(map(id, (*values, MatchedPair)))
+    def test_equal_exactly_when_same_bits(self):
+        def build(x_cur):
+            return MatchedPair(NormalizedFeature(x_cur, 0.2), NormalizedFeature(0.15, 0.22), 3.0)
+
+        assert build(0.0) == build(0.0) and hash(build(0.0)) == hash(build(0.0))
+        # equal floats with different bits: the pairs differ
+        assert build(0.0) != build(-0.0)
+        assert math.copysign(1.0, build(-0.0).x_cur) == -1.0
+
+    def test_int_values_read_back_as_float(self):
+        p = MatchedPair(NormalizedFeature(1, 2), NormalizedFeature(1, 3), 3)
+        values = (p.x_cur, p.y_cur, p.x_ref, p.y_ref, p.X_star)
+        assert values == (1.0, 2.0, 1.0, 3.0, 3.0)
+        assert {type(v) for v in values} == {float}
+
+    def test_bytes_are_not_a_pair(self):
+        p = MatchedPair(NormalizedFeature(0.1, 0.2), NormalizedFeature(0.15, 0.22), 3.0)
+        with pytest.raises(TypeError):
+            MatchedPair(bytes(p))
+        with pytest.raises(TypeError):
+            MatchedPair(b"\xff" * 40)
+
+    def test_repr(self):
+        p = MatchedPair(NormalizedFeature(0.1, 0.2), NormalizedFeature(0.15, 0.22), 3.0)
+        text = "MatchedPair(x_cur=0.1, y_cur=0.2, x_ref=0.15, y_ref=0.22, X_star=3.0)"
+        assert repr(p) == str(p) == text
+
+    def test_pickle_and_copy_round_trip(self):
+        p = MatchedPair(NormalizedFeature(0.1, -0.2), NormalizedFeature(0.15, 0.22), 3.0)
+        copies = [pickle.loads(pickle.dumps(p, k)) for k in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.copy(p), copy.deepcopy(p)]
+        for q in copies:
+            assert type(q) is MatchedPair and q == p
+
+    def test_holds_no_float_object(self):
+        p = MatchedPair(NormalizedFeature(0.1, 0.2), NormalizedFeature(0.15, 0.22), 3.0)
+        assert not [r for r in gc.get_referents(p) if isinstance(r, float)]
 
     @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="object sizes of CPython 3.11")
-    def test_at_most_72_bytes_a_pair(self):
-        # fresh views per pair, as generate_observations builds them; the floats
-        # and the list are allocated before tracing starts
+    def test_at_most_96_bytes_a_pair(self):
+        # fresh views and fresh values per pair, as generate_observations builds
+        # them, so that the growth counts whatever the pair keeps of its values
         n = 100_000
-        x, y, xr, yr, X = 0.1, 0.2, 0.15, 0.22, 3.0
         pairs = [None] * n
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             for i in range(n):
-                pairs[i] = MatchedPair(NormalizedFeature(x, y), NormalizedFeature(xr, yr), X)
+                d = i * 1e-7
+                pairs[i] = MatchedPair(
+                    NormalizedFeature(0.1 + d, 0.2 + d), NormalizedFeature(0.15 + d, 0.22 + d), 3.0 + d
+                )
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert grown // n <= 72  # the remainder is a few hundred bytes the trace itself holds
+        assert grown // n <= 96  # the remainder is a few hundred bytes the trace itself holds
 
 
 class TestPairCoeffs:

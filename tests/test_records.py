@@ -1,4 +1,8 @@
-"""Every record type of the package is a frozen dataclass with ``__slots__``."""
+"""Every record type of the package is slotted and frozen.
+
+Each is a frozen dataclass with ``__slots__``, except ``MatchedPair``, which
+is its five doubles packed into a ``bytes`` subclass.
+"""
 
 import dataclasses
 import importlib
@@ -12,8 +16,15 @@ import servopark
 from servopark.closed_loop_sim import ConvergenceSpec, GoalUpdate, Scenario
 from servopark.error_state import AnchorDepth
 from servopark.errors import InvalidParams
-from servopark.geometry import DEFAULT_INTRINSICS, CameraIntrinsics, FeaturePoint3, Pose2
+from servopark.geometry import (
+    DEFAULT_INTRINSICS,
+    CameraIntrinsics,
+    FeaturePoint3,
+    NormalizedFeature,
+    Pose2,
+)
 from servopark.parking_controller import PROPOSED_PARAMS, ControllerParams, TwistLimits
+from servopark.pose_estimator import MatchedPair
 
 
 def _records():
@@ -29,7 +40,7 @@ def _records():
 def test_every_record_is_slotted_and_frozen():
     records = _records()
     names = {cls.__name__ for cls in records}
-    assert {"MatchedPair", "NormalizedFeature", "Pose2", "Scenario", "RunSummary"} <= names
+    assert {"NormalizedFeature", "Pose2", "Scenario", "RunSummary"} <= names
     for cls in records:
         name = f"{cls.__module__}.{cls.__name__}"
         assert "__slots__" in vars(cls), name
@@ -38,10 +49,17 @@ def test_every_record_is_slotted_and_frozen():
         assert not hasattr(instance, "__dict__"), name
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(instance, dataclasses.fields(cls)[0].name, 0.0)
+    # packed bytes, not a dataclass: the same three properties, on a built pair
+    assert "__slots__" in vars(MatchedPair)
+    pair = MatchedPair(NormalizedFeature(0.1, 0.2), NormalizedFeature(0.15, 0.22), 3.0)
+    assert not hasattr(pair, "__dict__")
+    for name in ("x_cur", "cur", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(pair, name, 0.0)
 
 
 # One valid instance of each record that __post_init__ validates.  MatchedPair
-# validates in its own __init__ and is covered by TestMatchedPair.
+# validates in its own __new__ and is covered by TestMatchedPair.
 _VALID = {
     Pose2: Pose2(1.0, 2.0, 0.3),
     CameraIntrinsics: DEFAULT_INTRINSICS,
