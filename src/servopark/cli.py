@@ -54,21 +54,21 @@ TRAJ_COLUMNS = (
     ("visible_count", "%d"),
 )
 
-# The columns of a pairs file, one MatchedPair per row: header name, the
-# attribute the column reads, printf format.
+# The columns of a pairs file, one MatchedPair per row: header name, which
+# is also the attribute the column reads, and printf format.
 PAIRS_COLUMNS = (
-    ("x_cur", "x_cur", "%.17g"),
-    ("y_cur", "y_cur", "%.17g"),
-    ("x_ref", "x_ref", "%.17g"),
-    ("y_ref", "y_ref", "%.17g"),
-    ("X_star", "X_star", "%.17g"),
+    ("x_cur", "%.17g"),
+    ("y_cur", "%.17g"),
+    ("x_ref", "%.17g"),
+    ("y_ref", "%.17g"),
+    ("X_star", "%.17g"),
 )
 
 TRAJ_HEADER = ",".join(name for name, _ in TRAJ_COLUMNS)
 _TRAJ_ROW = ",".join(fmt for _, fmt in TRAJ_COLUMNS)
-PAIRS_HEADER = ",".join(name for name, _, _ in PAIRS_COLUMNS)
-_PAIRS_ROW = ",".join(fmt for _, _, fmt in PAIRS_COLUMNS)
-_pairs_values = attrgetter(*(attr for _, attr, _ in PAIRS_COLUMNS))
+PAIRS_HEADER = ",".join(name for name, _ in PAIRS_COLUMNS)
+_PAIRS_ROW = ",".join(fmt for _, fmt in PAIRS_COLUMNS)
+_pairs_values = attrgetter(*(name for name, _ in PAIRS_COLUMNS))
 
 
 def _write_lines(path: str, lines) -> None:
@@ -209,7 +209,7 @@ def load_pairs_csv(path: str) -> list[MatchedPair]:
             vals = [float(f) for f in fields]
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-        for (name, _, _), v in zip(PAIRS_COLUMNS, vals):
+        for (name, _), v in zip(PAIRS_COLUMNS, vals):
             if not math.isfinite(v):
                 raise ConfigError(f"{path}:{lineno}: {name} is not finite")
         try:

@@ -38,6 +38,7 @@ from .errors import (
     InsufficientFeatures,
     InvalidParams,
     NumericalFailure,
+    require_finite,
 )
 from .geometry import (
     DEFAULT_INTRINSICS,
@@ -89,8 +90,7 @@ class ConvergenceSpec:
     def __post_init__(self) -> None:
         if not (self.pos_tol > 0.0 and self.ang_tol > 0.0):
             raise InvalidParams("convergence tolerances must be positive")
-        if not (math.isfinite(self.pos_tol) and math.isfinite(self.ang_tol)):
-            raise InvalidParams("convergence tolerances must be finite")
+        require_finite("convergence tolerances must be finite", self.pos_tol, self.ang_tol)
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,8 +106,7 @@ class GoalUpdate:
     def __post_init__(self) -> None:
         if not self.t >= 0.0:
             raise InvalidParams("goal update time must be nonnegative")
-        if not math.isfinite(self.t):
-            raise InvalidParams("goal update time must be finite")
+        require_finite("goal update time must be finite", self.t)
 
 
 def default_object_features() -> tuple[FeaturePoint3, ...]:
@@ -154,12 +153,10 @@ class Scenario:
             raise InvalidParams("dt must be positive")
         if not self.t_max > self.dt:
             raise InvalidParams("t_max must exceed dt")
-        if not math.isfinite(self.t_max):
-            raise InvalidParams("t_max must be finite")
+        require_finite("t_max must be finite", self.t_max)
         if not self.pixel_noise_sigma >= 0.0:
             raise InvalidParams("pixel_noise_sigma must be nonnegative")
-        if not math.isfinite(self.pixel_noise_sigma):
-            raise InvalidParams("pixel_noise_sigma must be finite")
+        require_finite("pixel_noise_sigma must be finite", self.pixel_noise_sigma)
         if len(self.object_features) == 0:
             raise InvalidParams("at least one object feature is required")
         if self.perception_mode is PerceptionMode.ESTIMATED:
@@ -172,8 +169,8 @@ class Scenario:
         ):
             raise InvalidParams("anchor_index out of range")
         # _step_count and _convergence divide t_max and the quiet window by dt
-        if not math.isfinite(max(self.t_max, QUIET_WINDOW_SECONDS) / self.dt):
-            raise InvalidParams("t_max / dt must be a finite step count")
+        steps = max(self.t_max, QUIET_WINDOW_SECONDS) / self.dt
+        require_finite("t_max / dt must be a finite step count", steps)
 
     def anchor(self) -> AnchorDepth:
         """Anchor height Z*; defaults to the feature of largest |Z_star|."""
@@ -197,7 +194,7 @@ class TrajectorySample(NamedTuple):
     visible_count: int
 
 
-_FLOATS = 13  # floats a sample logs: t, pose, z, twist, u and the two estimate errors
+_FLOATS = 15  # numbers a sample logs: its traj row without the two branch labels
 
 
 def _shared_nan(x: float) -> float:
@@ -208,60 +205,49 @@ def _shared_nan(x: float) -> float:
 class TrajectoryLog(Sequence[TrajectorySample]):
     """A run's log: a read-only sequence of TrajectorySample, stored flat.
 
-    Each sample is 13 floats in one ``array('d')`` (``t, x, y, theta, z0,
-    z1, z2, v, omega, u0, u1, est_angle_err, est_trans_err``) plus its two
-    branch labels, ``in_gamma`` and ``visible_count`` in plain lists: about
-    144 B a sample, where a list of samples takes about 640 B.  Samples are
-    built when they are read, by index, slice (a list) or iteration;
-    ``rows()`` gives the same values as flat tuples without building them.
+    Each sample is kept as its traj CSV row: the row's 15 numbers in one
+    ``array('d')``, in column order (``t, x, y, theta, z0, z1, z2, v, omega,
+    u0, u1, in_gamma, est_angle_err, est_trans_err, visible_count``; a bool
+    and a small int are exact as doubles), and the two branch labels, which
+    sit between ``u1`` and ``in_gamma``, in two lists: about 145 B a
+    sample, where a list of samples takes about 640 B.  Samples are built
+    when they are read, by index, slice (a list) or iteration; ``rows()``
+    gives the rows as flat tuples without building them.
     ``TrajectoryLog(samples)`` packs any iterable of samples.  Two logs are
     equal when they hold the same bits.
     """
 
-    __slots__ = ("_floats", "_u0_branch", "_u1_branch", "_in_gamma", "_visible_count")
+    __slots__ = ("_floats", "_u0_branch", "_u1_branch")
 
     def __init__(self, samples: Iterable[TrajectorySample] = ()) -> None:
         self._floats = array("d")
         self._u0_branch: list[str] = []
         self._u1_branch: list[str] = []
-        self._in_gamma: list[bool] = []
-        self._visible_count: list[int] = []
         for s in samples:
-            decision = s[4:8]  # u, u0_branch, u1_branch, in_gamma
-            self._append(
-                s.t, s.pose, s.z, s.twist, decision, s.est_angle_err, s.est_trans_err,
-                s.visible_count,
-            )
+            self._append(*s[:4], s[4:8], *s[8:])  # s[4:8] is the decision
 
     def _append(self, t, pose, z, twist, decision, est_angle_err, est_trans_err, visible_count):
         """Log one sample from its parts, without building it."""
         z0, z1, z2 = z
         v, omega = twist
-        u, u0_branch, u1_branch, in_gamma = decision
-        u0, u1 = u
+        (u0, u1), u0_branch, u1_branch, in_gamma = decision
         self._floats.fromlist(
-            [t, pose.x, pose.y, pose.theta, z0, z1, z2, v, omega, u0, u1, est_angle_err,
-             est_trans_err]
+            [t, pose.x, pose.y, pose.theta, z0, z1, z2, v, omega, u0, u1, in_gamma,
+             est_angle_err, est_trans_err, visible_count]
         )
         self._u0_branch.append(u0_branch)
         self._u1_branch.append(u1_branch)
-        self._in_gamma.append(in_gamma)
-        self._visible_count.append(visible_count)
 
     def _float_rows(self) -> Iterator[tuple[float, ...]]:
-        """Each sample's 13 floats as one tuple, in log order."""
+        """Each sample's 15 numbers as one tuple, in log order."""
         return zip(*[iter(self._floats)] * _FLOATS)
 
     def rows(self) -> Iterator[tuple]:
         """Each sample as one flat tuple, in the traj CSV's column order:
         TrajectorySample's fields with ``pose``, ``z``, ``twist`` and ``u``
-        spread out."""
-        for (t, x, y, theta, z0, z1, z2, v, omega, u0, u1, ea, et), b0, b1, g, n in zip(
-            self._float_rows(),
-            self._u0_branch,
-            self._u1_branch,
-            self._in_gamma,
-            self._visible_count,
+        spread out, and ``in_gamma`` and ``visible_count`` as floats."""
+        for (t, x, y, theta, z0, z1, z2, v, omega, u0, u1, g, ea, et, n), b0, b1 in zip(
+            self._float_rows(), self._u0_branch, self._u1_branch
         ):
             yield t, x, y, theta, z0, z1, z2, v, omega, u0, u1, b0, b1, g, ea, et, n
 
@@ -270,23 +256,20 @@ class TrajectoryLog(Sequence[TrajectorySample]):
         t, x, y, theta, z0, z1, z2, v, omega, u0, u1, b0, b1, g, ea, et, n = row
         u = ChainedInput(_shared_nan(u0), _shared_nan(u1))
         return TrajectorySample(
-            t, Pose2(x, y, theta), ChainedState(z0, z1, z2), BodyTwist(v, omega), u, b0, b1, g,
-            _shared_nan(ea), _shared_nan(et), n,
+            t, Pose2(x, y, theta), ChainedState(z0, z1, z2), BodyTwist(v, omega), u, b0, b1,
+            bool(g), _shared_nan(ea), _shared_nan(et), int(n),
         )
 
     def __len__(self) -> int:
-        return len(self._visible_count)
+        return len(self._u0_branch)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
-        n = len(self)
-        i = index + n if index < 0 else index
-        if not 0 <= i < n:
-            raise IndexError("trajectory log index out of range")
-        f = self._floats[_FLOATS * i : _FLOATS * (i + 1)]
-        labels = (self._u0_branch[i], self._u1_branch[i], self._in_gamma[i])
-        return self._sample((*f[:11], *labels, f[11], f[12], self._visible_count[i]))
+        labels = self._u0_branch[index], self._u1_branch[index]  # a list checks and wraps index
+        start = _FLOATS * index  # a negative index gives a negative start, counted from the end
+        f = self._floats[start : start + _FLOATS or None]  # None: log[-1] runs to the end
+        return self._sample((*f[:11], *labels, *f[11:]))
 
     def __iter__(self) -> Iterator[TrajectorySample]:
         return map(self._sample, self.rows())
@@ -298,8 +281,6 @@ class TrajectoryLog(Sequence[TrajectorySample]):
             self._floats.tobytes() == other._floats.tobytes()
             and self._u0_branch == other._u0_branch
             and self._u1_branch == other._u1_branch
-            and self._in_gamma == other._in_gamma
-            and self._visible_count == other._visible_count
         )
 
 
@@ -527,7 +508,7 @@ def summarize(samples: Sequence[TrajectorySample], scenario: Scenario) -> RunSum
     max_abs_omega = 0.0
     peak_z0z1 = 0.0
     # each `if a > m: m = a` is max(m, a), which keeps m unless a > m
-    for i, (t, _, _, _, z0, z1, z2, v, omega, _, _, _, _) in enumerate(log._float_rows()):
+    for i, (t, _, _, _, z0, z1, z2, v, omega, _, _, _, _, _, _) in enumerate(log._float_rows()):
         if i < last:
             path_length += abs(v) * dt
         if abs(v) > max_abs_v:

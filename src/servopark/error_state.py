@@ -20,11 +20,10 @@ dynamics under the unicycle flow, in tests/test_error_state.py.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InvalidParams, ZeroAnchorDepth
+from .errors import ZeroAnchorDepth, require_finite
 from .geometry import PlanarTransform
 
 
@@ -61,8 +60,7 @@ class AnchorDepth:
     Z_star: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.Z_star):
-            raise InvalidParams("anchor height must be finite")
+        require_finite("anchor height must be finite", self.Z_star)
         if self.Z_star == 0.0:
             raise ZeroAnchorDepth("anchor height must be nonzero")
 

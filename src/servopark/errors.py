@@ -1,4 +1,6 @@
-"""Exception taxonomy shared by every module in the package."""
+"""Exception taxonomy shared by every module in the package, and the finiteness check."""
+
+from math import isfinite
 
 
 class ServoparkError(Exception):
@@ -39,3 +41,18 @@ class EmptyLog(ServoparkError):
 
 class ConfigError(ServoparkError):
     """Malformed scenario file or command-line configuration."""
+
+
+def require_finite(message: str, *values: float) -> None:
+    """Raise InvalidParams(message) unless every value is finite.
+
+    An ``int`` beyond the float range counts as not finite, where
+    ``isfinite`` alone would raise ``OverflowError``.
+    """
+    for value in values:
+        try:
+            if isfinite(value):
+                continue
+        except OverflowError:
+            pass
+        raise InvalidParams(message)

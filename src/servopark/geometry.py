@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InvalidParams
+from .errors import InvalidParams, require_finite
 
 Y_TOL = 1e-12  # below this the division by a vertical coordinate is meaningless
 
@@ -50,8 +50,7 @@ class Pose2:
     theta: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.theta)):
-            raise InvalidParams("pose must be finite")
+        require_finite("pose must be finite", self.x, self.y, self.theta)
         object.__setattr__(self, "theta", wrap_angle(self.theta))
 
     def compose(self, other: "Pose2") -> "Pose2":
@@ -93,8 +92,9 @@ class CameraIntrinsics:
     min_depth: float
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.f_x, self.f_y, self.c_x, self.c_y, self.min_depth))):
-            raise InvalidParams("intrinsics must be finite")
+        require_finite(
+            "intrinsics must be finite", self.f_x, self.f_y, self.c_x, self.c_y, self.min_depth
+        )
         if not (self.f_x > 0.0 and self.f_y > 0.0):
             raise InvalidParams("focal lengths must be positive")
         if not self.min_depth > 0.0:
@@ -123,8 +123,7 @@ class FeaturePoint3:
     Z_star: float
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.X_star, self.Y_star, self.Z_star))):
-            raise InvalidParams("feature coordinates must be finite")
+        require_finite("feature coordinates must be finite", self.X_star, self.Y_star, self.Z_star)
         if not self.X_star > 0.0:
             raise InvalidParams("feature depth X_star must be positive")
         if self.Z_star == 0.0:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .error_state import AnchorDepth, BodyTwist, ChainedInput, ChainedState, inputs_to_twist
-from .errors import InvalidParams
+from .errors import InvalidParams, require_finite
 from .geometry import cbrt_signed
 
 # Switching tolerances. Exact zeros never occur in floating point, so the
@@ -65,9 +65,10 @@ class ControllerParams:
             raise InvalidParams("xi must be positive")
         if not self.delta > 0.0:
             raise InvalidParams("delta must be positive")
-        values = (self.kappa0, self.kappa2, self.epsilon, self.xi, self.delta)
-        if not all(map(math.isfinite, values)):
-            raise InvalidParams("controller parameters must be finite")
+        require_finite(
+            "controller parameters must be finite",
+            self.kappa0, self.kappa2, self.epsilon, self.xi, self.delta,
+        )
 
 
 #: Gain set used by all built-in scenarios.
@@ -103,8 +104,7 @@ class TwistLimits:
     def __post_init__(self) -> None:
         if not (self.v_max > 0.0 and self.omega_max > 0.0):
             raise InvalidParams("twist limits must be positive")
-        if not (math.isfinite(self.v_max) and math.isfinite(self.omega_max)):
-            raise InvalidParams("twist limits must be finite")
+        require_finite("twist limits must be finite", self.v_max, self.omega_max)
 
 
 def implicit_cbrt(z: float, dt: float) -> float:

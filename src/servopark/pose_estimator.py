@@ -41,6 +41,7 @@ from .errors import (
     InsufficientFeatures,
     InvalidParams,
     NumericalFailure,
+    require_finite,
 )
 from .geometry import Y_TOL, NormalizedFeature, PlanarTransform, cbrt_signed
 
@@ -70,16 +71,11 @@ class MatchedPair(bytes):
 
     def __new__(cls, cur: NormalizedFeature, ref: NormalizedFeature, X_star: float) -> MatchedPair:
         x_cur, y_cur, x_ref, y_ref = cur.x, cur.y, ref.x, ref.y
-        if not (
-            math.isfinite(x_cur)
-            and math.isfinite(y_cur)
-            and math.isfinite(x_ref)
-            and math.isfinite(y_ref)
-        ):
-            raise InvalidParams("normalized coordinates must be finite")
+        require_finite("normalized coordinates must be finite", x_cur, y_cur, x_ref, y_ref)
         if abs(y_cur) < Y_TOL or abs(y_ref) < Y_TOL:
             raise DegenerateFeature("vertical normalized coordinate too close to zero")
-        if not 0.0 < X_star < math.inf:
+        require_finite("reference depth must be positive and finite", X_star)
+        if not X_star > 0.0:
             raise InvalidParams("reference depth must be positive and finite")
         return bytes.__new__(cls, _PACKED.pack(x_ref, y_ref, x_cur, y_cur, X_star))
 

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, file formats, determinism."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -11,8 +12,8 @@ import pytest
 
 from servopark import cli
 from servopark.cli import main
-from servopark.closed_loop_sim import Scenario, pose_for_chained_state
-from servopark.error_state import AnchorDepth, ChainedState
+from servopark.closed_loop_sim import Scenario, TrajectorySample, pose_for_chained_state
+from servopark.error_state import AnchorDepth, BodyTwist, ChainedInput, ChainedState
 from servopark.geometry import CameraIntrinsics, Pose2
 
 TRAJ_HEADER = (
@@ -190,6 +191,39 @@ class TestRunCommand:
             for suffix in ("_traj.csv", "_summary.json", "_z0z1.csv")
         )
         assert digests == self._RECORDED_BYTES[case]
+
+    def test_recorded_held_run_bytes(self, tmp_path):
+        # a noisy estimated run with 6 held rows: NaN inputs, "held" labels and
+        # the carried in_gamma, which no ground-truth case writes
+        argv = ["run", "--case", "case1", "--perception", "estimated", "--noise-px", "0.5",
+                "--seed", "7", "--t-max", "40", "--plot", "--out", str(tmp_path)]
+        rc, _, _ = _call(argv)
+        assert rc == 2
+        traj = (tmp_path / "case1_traj.csv").read_text()
+        assert traj.count(",held,held,") == 6
+        digests = tuple(
+            hashlib.sha256((tmp_path / f"case1{suffix}").read_bytes()).hexdigest()
+            for suffix in ("_traj.csv", "_z0z1.csv")
+        )
+        assert digests == (
+            "d00f39e7be4f1d6dadc45334aa709d62f16a531d5bf7d8f5c26c5283bea6443e",
+            "ed5606a8fbcc399f3a6636865bd442f8df3fed3ce58fcc2f89f982064e6ef25b",
+        )
+
+    def test_header_spreads_the_sample_fields(self, case_runs):
+        # one layout: the traj CSV's columns are TrajectorySample's fields with
+        # its four value types spread out, and rows() gives that many values
+        spread = {
+            "pose": tuple(f.name for f in dataclasses.fields(Pose2)),
+            "z": ChainedState._fields,
+            "twist": BodyTwist._fields,
+            "u": ChainedInput._fields,
+        }
+        names = [n for field in TrajectorySample._fields for n in spread.get(field, (field,))]
+        assert names == cli.TRAJ_HEADER.split(",") == TRAJ_HEADER.split(",")
+        assert len(names) == 17
+        log, _ = case_runs["case1"]
+        assert {len(row) for row in log.rows()} == {17}
 
     def test_summary_keeps_float_types(self, tmp_path):
         rc, _, _ = _call(["run", "--case", "case3", "--out", str(tmp_path)])

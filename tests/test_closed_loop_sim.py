@@ -610,8 +610,6 @@ class TestTrajectoryLog:
         assert copy._floats.tobytes() == log._floats.tobytes()
         assert copy._u0_branch == log._u0_branch
         assert copy._u1_branch == log._u1_branch
-        assert copy._in_gamma == log._in_gamma
-        assert copy._visible_count == log._visible_count
         assert copy == log and not copy != log
 
     def test_negative_zero_and_nan_read_back_bit_for_bit(self):

@@ -178,9 +178,11 @@ class TestMatchedPair:
             ("cur.x", math.inf),
             ("ref.x", -math.inf),
             ("ref.y", math.nan),
+            ("cur.x", 10**400),  # an int beyond the float range
+            ("X_star", 10**400),
         ],
         ids=["cur_y_inf", "cur_y_nan", "X_star_inf", "cur_x_nan", "cur_x_inf", "ref_x_minus_inf",
-             "ref_y_nan"],
+             "ref_y_nan", "cur_x_huge_int", "X_star_huge_int"],
     )
     def test_non_finite_refused(self, field, value):
         _, pairs = board_scene(0.1, 0.3, -0.2)

@@ -80,7 +80,7 @@ def test_every_validated_record_refuses_non_finite_numbers():
         names = [f.name for f in dataclasses.fields(cls) if f.type in ("float", float)]
         assert names, cls.__name__
         for name in names:
-            for value in (math.inf, -math.inf, math.nan):
+            for value in (math.inf, -math.inf, math.nan, 10**400, -10**400):  # ints beyond float
                 try:
                     dataclasses.replace(instance, **{name: value})
                 except InvalidParams:
