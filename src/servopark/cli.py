@@ -264,25 +264,27 @@ def _apply_overrides(args, scenario: Scenario) -> Scenario:
 
 
 def _run_outcome(out_dir: str, scenario: Scenario, plot: bool) -> tuple[int, dict]:
-    """Run ``scenario`` and write its files.
+    """Run ``scenario`` and write its files, also for a starved run.
 
     Returns the exit code (0 converged, 2 not converged, 3 starved) and the
-    run's cases_summary.json entry: its status and summary fields, or the
-    starvation error.
+    run's cases_summary.json entry: its status (and a starved run's error),
+    then its summary fields.
     """
     os.makedirs(out_dir, exist_ok=True)
     try:
         log, summary = run(scenario)
     except EstimatorStarvation as exc:
-        return 3, {"status": "starved", "error": str(exc)}
+        log, summary = exc.log, exc.summary
+        code, entry = 3, {"status": "starved", "error": str(exc)}
+    else:
+        code, status = (0, "converged") if summary.converged else (2, "not_converged")
+        entry = {"status": status}
     base = os.path.join(out_dir, scenario.name)
     write_traj_csv(base + "_traj.csv", log)
     _write_lines(base + "_summary.json", [json.dumps(asdict(summary), indent=2)])
     if plot:
         write_z0z1_csv(base + "_z0z1.csv", log)
-    if summary.converged:
-        return 0, {"status": "converged", **asdict(summary)}
-    return 2, {"status": "not_converged", **asdict(summary)}
+    return code, {**entry, **asdict(summary)}
 
 
 def cmd_run(args) -> int:

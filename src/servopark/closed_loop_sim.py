@@ -377,29 +377,20 @@ def perception(scenario: Scenario) -> Callable[..., tuple[ChainedState | None, i
     count, and the estimate's angle and translation errors against the true
     goal-to-camera map ``g``.  Ground truth gives ``z_true`` and NaN errors.
     In estimated mode, too few or uninformative features give None and NaN
-    errors, and a blind streak over STARVATION_LIMIT_SECONDS aborts the run.
-    Any other error propagates.
+    errors; any other error propagates.  ``see`` keeps no state: run()
+    counts the blind steps and decides when the run has starved.
     """
     n_features = len(scenario.object_features)
     if scenario.perception_mode is PerceptionMode.GROUND_TRUTH:
         return lambda g, z_true, step: (z_true, n_features, math.nan, math.nan)
     anchor = scenario.anchor()
-    blind = 0
 
     def see(g, z_true, step):
-        nonlocal blind
         obs = generate_observations(g, scenario, step=step)
         try:
             est = estimate_pose(obs)
         except (InsufficientFeatures, DegenerateGeometry, NumericalFailure):
-            blind += 1
-            if blind * scenario.dt > STARVATION_LIMIT_SECONDS:
-                raise EstimatorStarvation(
-                    f"no usable pose estimate for "
-                    f"{blind * scenario.dt:.2f} s at t = {step * scenario.dt:.2f} s"
-                ) from None
             return None, len(obs), math.nan, math.nan
-        blind = 0
         e = est.transform
         z = to_chained(error_from_transform(e, anchor))
         return z, len(obs), abs(wrap_angle(e.phi - g.phi)), math.hypot(e.t_x - g.t_x, e.t_y - g.t_y)
@@ -447,7 +438,9 @@ def run(scenario: Scenario) -> tuple[TrajectoryLog, RunSummary]:
     Each step applies due goal updates, perceives (see ``perception``),
     evaluates the law, logs the sample, asks ``_convergence`` whether it
     ends a quiet window, and integrates.  A sample with no usable estimate
-    holds the previous twist, with that decision's in_gamma.
+    holds the previous twist, with that decision's in_gamma.  A blind
+    streak over STARVATION_LIMIT_SECONDS ends the run after its step is
+    logged: EstimatorStarvation carries the log and its summary.
     """
     gains = compute_gains(scenario.controller)
     anchor = scenario.anchor()
@@ -462,6 +455,7 @@ def run(scenario: Scenario) -> tuple[TrajectoryLog, RunSummary]:
     decision = _NOT_DECIDED
     log = TrajectoryLog()
     next_update = 0
+    blind = 0  # steps in a row without a usable estimate
 
     for k in range(n_steps + 1):
         t = k * scenario.dt
@@ -474,12 +468,21 @@ def run(scenario: Scenario) -> tuple[TrajectoryLog, RunSummary]:
         z_ctrl, visible, est_angle_err, est_trans_err = see(g_true, z_true, k)
 
         if z_ctrl is None:  # keep the previous twist and its in_gamma; no law is evaluated
+            blind += 1
             decision = decision._replace(u=_NO_INPUT, u0_branch=_HELD, u1_branch=_HELD)
         else:
+            blind = 0
             twist, decision = controller_step(
                 z_ctrl, gains, scenario.controller, scenario.limits, anchor, scenario.dt
             )
         log._append(t, pose, z_true, twist, decision, est_angle_err, est_trans_err, visible)
+        # a step with an estimate stops at `blind`, without the product
+        if blind and blind * scenario.dt > STARVATION_LIMIT_SECONDS:
+            raise EstimatorStarvation(
+                f"no usable pose estimate for {blind * scenario.dt:.2f} s at t = {t:.2f} s",
+                log,
+                summarize(log, scenario),
+            )
         z0, z1, z2 = z_true
         v, omega = twist
         if ends_window(t, z0, z1, z2, v, omega) or k == n_steps:

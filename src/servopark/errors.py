@@ -32,7 +32,19 @@ class NumericalFailure(ServoparkError):
 
 
 class EstimatorStarvation(ServoparkError):
-    """A closed-loop run went too long without a usable pose estimate."""
+    """A closed-loop run went too long without a usable pose estimate.
+
+    ``log`` is the run's trajectory log up to and including the aborting
+    step, and ``summary`` is ``summarize(log, scenario)``, as for any run.
+    """
+
+    def __init__(self, message: str, log, summary) -> None:
+        super().__init__(message)
+        self.log = log
+        self.summary = summary
+
+    def __reduce__(self):  # pickle and copy rebuild it with its log and summary
+        return type(self), (str(self), self.log, self.summary)
 
 
 class EmptyLog(ServoparkError):

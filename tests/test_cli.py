@@ -12,8 +12,16 @@ import pytest
 
 from servopark import cli
 from servopark.cli import main
-from servopark.closed_loop_sim import Scenario, TrajectorySample, pose_for_chained_state
+from servopark.closed_loop_sim import (
+    PerceptionMode,
+    RunSummary,
+    Scenario,
+    TrajectorySample,
+    pose_for_chained_state,
+    run,
+)
 from servopark.error_state import AnchorDepth, BodyTwist, ChainedInput, ChainedState
+from servopark.errors import EstimatorStarvation
 from servopark.geometry import CameraIntrinsics, Pose2
 
 TRAJ_HEADER = (
@@ -113,6 +121,40 @@ class TestRunCommand:
         rc, _, err = _call(["run", "--config", cfg, "--out", str(tmp_path)])
         assert rc == 3
         assert "starvation" in err
+
+    def test_starved_run_writes_its_files(self, tmp_path):
+        cfg = _corridor_config(tmp_path, **_BLIND_ESTIMATED)
+        assert _call(["run", "--config", cfg, "--plot", "--out", str(tmp_path / "out")]) == (
+            3, "", "run: estimator starvation: no usable pose estimate for 5.01 s at t = 5.00 s\n"
+        )
+        traj = (tmp_path / "out" / "corridor_traj.csv").read_text().splitlines()
+        assert traj[0] == TRAJ_HEADER
+        assert len(traj) == 502  # header + 501 samples, t = 0 to 5.00 s at dt 0.01
+        rows = [line.split(",") for line in traj[1:]]
+        assert f"{float(rows[-1][0]):.2f}" == "5.00"
+        assert all(row[11:13] == ["held", "held"] for row in rows)  # never sees the board
+        summary = json.loads((tmp_path / "out" / "corridor_summary.json").read_text())
+        assert list(summary) == [f.name for f in dataclasses.fields(RunSummary)]
+        assert summary["samples"] == 501 and summary["converged"] is False
+        plot = (tmp_path / "out" / "corridor_z0z1.csv").read_text().splitlines()
+        assert plot[0] == "t,z0z1"
+        assert len(plot) == 502
+
+    @pytest.mark.parametrize(
+        "case, samples, t_abort", [("case1", 1021, "10.20"), ("case2", 1313, "13.12")]
+    )
+    def test_starved_cases_leave_their_rows(self, tmp_path, case, samples, t_abort):
+        # on the default camera, estimated case1 and case2 lose the board near the goal
+        argv = ["run", "--case", case, "--perception", "estimated", "--out", str(tmp_path)]
+        rc, out, err = _call(argv)
+        assert (rc, out) == (3, "")
+        assert err.endswith(f" at t = {t_abort} s\n")
+        traj = (tmp_path / f"{case}_traj.csv").read_text().splitlines()
+        assert len(traj) == samples + 1
+        assert f"{float(traj[-1].split(',')[0]):.2f}" == t_abort
+        assert traj[-1].split(",")[11:13] == ["held", "held"]
+        summary = json.loads((tmp_path / f"{case}_summary.json").read_text())
+        assert summary["samples"] == samples
 
     def test_missing_config(self, tmp_path):
         rc, _, err = _call(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
@@ -612,7 +654,15 @@ class TestCasesCommand:
         assert [e["status"] for e in summary["home"].values()] == ["converged", "converged"]
         if with_blind:
             assert summary["blind"]["ground_truth"]["status"] == "not_converged"
-            assert summary["blind"]["estimated"] == {
+            # the starved entry is its status and error, then the partial summary
+            with pytest.raises(EstimatorStarvation) as starved:
+                run(dataclasses.replace(blind, perception_mode=PerceptionMode.ESTIMATED))
+            entry = summary["blind"]["estimated"]
+            assert entry == {
                 "status": "starved",
                 "error": "no usable pose estimate for 5.01 s at t = 5.00 s",
+                **dataclasses.asdict(starved.value.summary),
             }
+            fields = [f.name for f in dataclasses.fields(RunSummary)]
+            assert list(entry) == ["status", "error", *fields]
+            assert (tmp_path / "blind_estimated_traj.csv").is_file()

@@ -2,7 +2,10 @@
 
 import dataclasses
 import importlib
+import itertools
 import math
+import pickle
+import re
 import sys
 import tracemalloc
 from collections.abc import Sequence
@@ -250,31 +253,43 @@ class TestPerceive:
         assert used == len(sc.object_features) == 6
         assert math.isnan(ang_err) and math.isnan(trans_err)
 
+    def test_see_keeps_no_count(self, monkeypatch):
+        import servopark.closed_loop_sim as sim
+
+        def failing(pairs):
+            raise DegenerateGeometry("no estimate")
+
+        monkeypatch.setattr(sim, "estimate_pose", failing)
+        sc = dataclasses.replace(self._scenario(), dt=0.5)
+        g = relative_transform(sc.initial_pose, sc.goal_pose)
+        see = perception(sc)
+        blind_steps = 3 * round(STARVATION_LIMIT_SECONDS / sc.dt)  # run() would abort long before
+        assert all(see(g, None, step)[0] is None for step in range(blind_steps))
+
     def test_blind_count_resets_after_an_estimate(self, monkeypatch):
+        # run() counts the blind steps; see only reports each one
         import servopark.closed_loop_sim as sim
 
         real = sim.estimate_pose
-        blind = True
+        estimated = set(range(0, 89, 11))  # streaks of 10 blind steps (5 s) between estimates
+        calls = itertools.count()  # one estimate_pose call a step
 
         def flaky(pairs):
-            if blind:
+            if next(calls) not in estimated:
                 raise DegenerateGeometry("no estimate")
             return real(pairs)
 
         monkeypatch.setattr(sim, "estimate_pose", flaky)
-        sc = dataclasses.replace(self._scenario(), dt=0.5)
-        g = relative_transform(sc.initial_pose, sc.goal_pose)
-        see = perception(sc)
-        allowed = round(STARVATION_LIMIT_SECONDS / sc.dt)  # blind steps before the abort
-        for step in range(allowed):
-            assert see(g, None, step)[0] is None
-        blind = False
-        assert see(g, None, allowed)[0] is not None
-        blind = True
-        for step in range(allowed):  # the count started again at the estimate
-            assert see(g, None, allowed + 1 + step)[0] is None
-        with pytest.raises(EstimatorStarvation, match=r"for 5\.50 s at t = 49\.50 s"):
-            see(g, None, 99)
+        # the tight limits keep the board in view through the held twists
+        sc = dataclasses.replace(
+            self._scenario(), dt=0.5, t_max=60.0, limits=TwistLimits(1e-3, 1e-3)
+        )
+        assert round(STARVATION_LIMIT_SECONDS / sc.dt) == 10  # blind steps allowed in a row
+        with pytest.raises(EstimatorStarvation, match=r"for 5\.50 s at t = 49\.50 s") as info:
+            run(sc)
+        log = info.value.log
+        assert len(log) == 100  # 11 blind steps after the estimate at step 88
+        assert [k for k, s in enumerate(log) if s.u0_branch != "held"] == sorted(estimated)
 
 
 # Holds six samples near t = 34 s, after decisions outside Gamma.
@@ -347,6 +362,44 @@ class TestRunBasics:
         )
         with pytest.raises(EstimatorStarvation):
             run(sc)
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            # never sees the board: every sample is held
+            corridor_scenario(
+                perception_mode=PerceptionMode.ESTIMATED,
+                intrinsics=CameraIntrinsics(460.0, 460.0, -5000.0, 240.0, 640, 480, 0.1),
+            ),
+            # loses the board near the goal, at t = 13.12 s
+            dataclasses.replace(
+                case_scenarios()["case2"], perception_mode=PerceptionMode.ESTIMATED
+            ),
+        ],
+        ids=["blind", "case2_estimated"],
+    )
+    def test_starved_run_keeps_its_log(self, scenario):
+        with pytest.raises(EstimatorStarvation) as info:
+            run(scenario)
+        exc = info.value
+        blind_for, t_abort = re.fullmatch(
+            r"no usable pose estimate for (\d+\.\d\d) s at t = (\d+\.\d\d) s", str(exc)
+        ).groups()
+        log = exc.log
+        assert isinstance(log, TrajectoryLog)
+        assert f"{log[-1].t:.2f}" == t_abort
+        tail = list(itertools.takewhile(lambda s: s.u0_branch == "held", reversed(log)))
+        assert f"{len(tail) * scenario.dt:.2f}" == blind_for
+        assert all(s.u1_branch == "held" for s in tail)
+        if len(tail) < len(log):
+            assert log[-len(tail) - 1].u0_branch != "held"  # the streak starts after an estimate
+        assert exc.summary == summarize(log, scenario)
+        assert exc.summary.samples == len(log)
+        back = pickle.loads(pickle.dumps(exc))  # as a process pool would hand it back
+        assert (str(back), back.log, back.summary) == (str(exc), log, exc.summary)
+        # up to the abort, the log is the one of a run that stops a step earlier
+        shorter, _ = run(dataclasses.replace(scenario, t_max=log[-2].t + 0.5 * scenario.dt))
+        assert shorter == TrajectoryLog(log[:-1])
 
     @pytest.mark.parametrize(
         "scenario",
