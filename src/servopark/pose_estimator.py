@@ -20,8 +20,9 @@ each into a plain tuple (x, y, x_ref, y_ref, X_star, y_ref / y).
 the translation stage of ``estimate_pose`` runs over the same tuples.
 ``accumulate`` sums with an inlined loop below ``_VECTOR_MIN`` features and
 with numpy from there on; both reproduce, bit for bit, the per-pair
-coefficient reference kept in tests/conftest.py.  ``_translation`` inlines the
-per-feature expressions of ``_terms``.
+coefficient reference kept in tests/conftest.py.  ``_translation``,
+``_residual`` and ``_gauss_newton_step`` each evaluate the per-feature d_i
+and e_i inline, at the pose they are given.
 """
 
 from __future__ import annotations
@@ -565,28 +566,17 @@ def rotation_candidates(acc: NormalAccumulators) -> list[RotationEstimate]:
     return found
 
 
-def _terms(rows: Sequence[_Row], s: float, c: float) -> list[tuple[float, float]]:
-    # MatchedPair already guarantees the vertical coordinates are usable
-    return [
-        (X * (r - (c - xr * s)), X * ((x - xr) * c - (x * xr + 1.0) * s))
-        for x, _, xr, _, X, r in rows
-    ]
+def _translation(rows: Sequence[_Row], s: float, c: float) -> tuple[float, float]:
+    """The translation least squares at (sin, cos) = (s, c).
 
-
-def _translation(
-    rows: Sequence[_Row], s: float, c: float
-) -> tuple[list[tuple[float, float]], float, float]:
-    """Per-feature terms at (sin, cos) = (s, c) and the translation least squares.
-
-    One loop builds the terms (the expressions of ``_terms``) and the four
-    normal sums, in canonical order.
+    One loop evaluates each feature's d_i and e_i and adds them into the
+    four normal sums, in canonical order.  MatchedPair already guarantees
+    the vertical coordinates are usable.
     """
-    terms: list[tuple[float, float]] = []
     sum_x = sum_e = sum_dxe = sum_xx = 0.0
     for x, _, xr, _, X, r in rows:
         d = X * (r - (c - xr * s))
         e = X * ((x - xr) * c - (x * xr + 1.0) * s)
-        terms.append((d, e))
         sum_x += x
         sum_e += e
         sum_dxe += d - x * e
@@ -597,44 +587,41 @@ def _translation(
         raise DegenerateGeometry("translation normal equations are singular")
     t_x = (n * sum_dxe + sum_x * sum_e) / den
     t_y = (sum_x * t_x + sum_e) / n
-    return terms, t_x, t_y
+    return t_x, t_y
 
 
 def estimate_translation(pairs: list[MatchedPair], r: RotationEstimate) -> tuple[float, float]:
     """Closed-form minimizer of sum (d_i - t_x)^2 + (e_i + x_i t_x - t_y)^2."""
     if not pairs:
         raise InsufficientFeatures("at least one matched feature is required")
-    _, t_x, t_y = _translation(_rows(pairs), r.sin_theta, r.cos_theta)
-    return (t_x, t_y)
+    return _translation(_rows(pairs), r.sin_theta, r.cos_theta)
 
 
-def _translation_residual(
-    rows: Sequence[_Row], terms: list[tuple[float, float]], t_x: float, t_y: float
-) -> float:
+def _residual(rows: Sequence[_Row], s: float, c: float, t_x: float, t_y: float) -> float:
+    """sum (d_i - t_x)^2 + (e_i + x_i t_x - t_y)^2 at the pose (s, c, t_x, t_y)."""
     resid = 0.0
-    for row, (d, e) in zip(rows, terms):
-        resid += (d - t_x) ** 2 + (e + row[0] * t_x - t_y) ** 2
+    for x, _, xr, _, X, r in rows:
+        d = X * (r - (c - xr * s))
+        e = X * ((x - xr) * c - (x * xr + 1.0) * s)
+        resid += (d - t_x) ** 2 + (e + x * t_x - t_y) ** 2
     return resid
 
 
 def _gauss_newton_step(
-    rows: Sequence[_Row],
-    terms: list[tuple[float, float]],
-    s: float,
-    c: float,
-    t_x: float,
-    t_y: float,
+    rows: Sequence[_Row], s: float, c: float, t_x: float, t_y: float
 ) -> tuple[float, float, float] | None:
     """One Gauss-Newton step on (theta, t_x, t_y) of the per-feature equations.
 
-    The equations are the ones _translation_residual sums, with the rotation
-    free as well: d_i(theta) - t_x = 0 and e_i(theta) + x_i t_x - t_y = 0,
-    with (d_i, e_i) = ``terms`` evaluated at (sin, cos) = (s, c).  The 3x3
-    normal system is solved by cofactors.  Returns the step, or None when
-    the system is singular.
+    The equations are the ones _residual sums, with the rotation free as
+    well: d_i(theta) - t_x = 0 and e_i(theta) + x_i t_x - t_y = 0, with
+    d_i, e_i and their theta-derivatives evaluated at (sin, cos) = (s, c).
+    The 3x3 normal system is solved by cofactors.  Returns the step, or
+    None when the system is singular.
     """
     h00 = h01 = h02 = h11 = h12 = g0 = g1 = g2 = 0.0
-    for (x, _, xr, _, X, _), (d, e) in zip(rows, terms):
+    for x, _, xr, _, X, r in rows:
+        d = X * (r - (c - xr * s))
+        e = X * ((x - xr) * c - (x * xr + 1.0) * s)
         dd = X * (s + xr * c)  # d(d_i)/d(theta)
         de = -X * ((x - xr) * s + (x * xr + 1.0) * c)  # d(e_i)/d(theta)
         rd = d - t_x
@@ -696,31 +683,29 @@ def estimate_pose(pairs: list[MatchedPair]) -> PlanarTransformEstimate:
     rows = acc.rows
     best: PlanarTransformEstimate | None = None
     best_key: tuple[float, float] | None = None
-    best_terms: list[tuple[float, float]] = []
     for rot in rotation_candidates(acc):
         # resid >= 0 and rounding is monotone, so the key's first entry is
         # at least rot.residual; continue, not break, so that a NaN cost in
         # the sort cannot hide a cheaper candidate later in the list
         if best_key is not None and rot.residual > best_key[0]:
             continue
-        terms, t_x, t_y = _translation(rows, rot.sin_theta, rot.cos_theta)
-        resid = _translation_residual(rows, terms, t_x, t_y)
+        t_x, t_y = _translation(rows, rot.sin_theta, rot.cos_theta)
+        resid = _residual(rows, rot.sin_theta, rot.cos_theta, t_x, t_y)
         phi = math.atan2(rot.sin_theta, rot.cos_theta)
         key = (rot.residual + resid, phi)
         if best_key is None or key < best_key:
             best_key = key
-            best_terms = terms
             best = PlanarTransformEstimate(PlanarTransform(phi, t_x, t_y), rot, resid)
     if best is None:
         raise DegenerateGeometry("no multiplier root admits a unit-circle solution")
 
     rot, g = best.rotation, best.transform
-    delta = _gauss_newton_step(rows, best_terms, rot.sin_theta, rot.cos_theta, g.t_x, g.t_y)
+    delta = _gauss_newton_step(rows, rot.sin_theta, rot.cos_theta, g.t_x, g.t_y)
     if delta is None:
         return best
     phi, t_x, t_y = g.phi + delta[0], g.t_x + delta[1], g.t_y + delta[2]
     s, c = math.sin(phi), math.cos(phi)
-    resid = _translation_residual(rows, _terms(rows, s, c), t_x, t_y)
+    resid = _residual(rows, s, c, t_x, t_y)
     rot_rise = _rotation_cost_change(acc, rot.sin_theta, rot.cos_theta, s, c)
     if not (resid <= best.translation_residual and rot_rise <= 1e-12 * max(1.0, acc.a1 + acc.a3)):
         return best

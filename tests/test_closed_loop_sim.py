@@ -686,6 +686,12 @@ class TestTrajectoryLog:
         assert log == TrajectoryLog(written)
         assert log != TrajectoryLog([written[0]._replace(t=0.0), written[1]])
 
+    def test_a_log_never_equals_a_list(self, case_runs):
+        log, _ = case_runs["case1"]
+        samples = list(log)
+        assert not log == samples and log != samples
+        assert not samples == log and samples != log
+
     @pytest.mark.parametrize("held", [False, True], ids=["estimated", "blind"])
     def test_run_builds_no_sample(self, monkeypatch, held):
         import servopark.closed_loop_sim as sim

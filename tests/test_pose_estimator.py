@@ -58,8 +58,9 @@ def _identity_pairs():
 def _translation_terms(p, r):
     """Per-feature right-hand sides (d, e) of the translation least squares.
 
-    The per-feature reference for ``pose_estimator._terms``: the same
-    expressions, so the terms agree bit for bit.
+    The per-feature reference for the d_i and e_i that ``pose_estimator``'s
+    ``_translation``, ``_residual`` and ``_gauss_newton_step`` evaluate: the
+    same expressions, so the terms agree bit for bit.
     """
     x, xr, X, ratio = p.cur.x, p.ref.x, p.X_star, p.ref.y / p.cur.y
     s, c = r.sin_theta, r.cos_theta
@@ -571,6 +572,12 @@ class TestEstimateRotation:
         # linear in the rotation there, least along b (any unit vector if b = 0)
         r = rotation_candidates(NormalAccumulators(1e3, 0.0, 1e3, *b, 0.0, 3))[0]
         assert (r.sin_theta, r.cos_theta) == best
+
+    def test_polish_keeps_its_input_on_a_non_finite_step(self):
+        # the gradient overflows to -inf while the curvature stays finite and
+        # above its floor, so the first Newton step is -inf: the guard stops
+        acc = NormalAccumulators(0.0, 0.0, 0.0, 1e308, -1e308, 0.0, 1)
+        assert pose_estimator._polish_on_circle(acc, 0.6, 0.8) == (0.6, 0.8)
 
 
 class TestTranslation:
