@@ -336,12 +336,6 @@ def solve_quartic(c1: float, c2: float, c3: float, c4: float) -> list[float]:
 
     shift = -a3 / 4.0
 
-    def tol_at(x: float) -> float:
-        x2 = x * x
-        return 1e-9 * max(
-            1.0, abs(a0), x2 * x2, abs(a3 * x2 * x), abs(a2 * x2), abs(a1 * x)
-        )
-
     # Newton with p and p' written out (the Horner forms of poly and its
     # derivative); p is carried across iterations: each point is evaluated once
     a3_3, a2_2 = 3.0 * a3, 2.0 * a2
@@ -367,26 +361,23 @@ def solve_quartic(c1: float, c2: float, c3: float, c4: float) -> list[float]:
         polished.append((best, best_val))
 
     # a double root yields two polish copies of uneven quality: cluster first,
-    # keep each cluster's best, and only then judge it
+    # keep each cluster's best (a tie keeps the earlier point), then judge it
     polished.sort()
+    clusters: list[tuple[float, float]] = []
+    for x, val in polished:
+        if clusters and abs(x - clusters[-1][0]) <= 1e-8 * max(1.0, abs(x)):
+            if val < clusters[-1][1]:
+                clusters[-1] = (x, val)
+        else:
+            clusters.append((x, val))
     roots: list[float] = []
     stalls: list[tuple[float, float]] = []
-    idx = 0
-    while idx < len(polished):
-        x, val = polished[idx]
-        end = idx + 1
-        while (
-            end < len(polished)
-            and abs(polished[end][0] - x) <= 1e-8 * max(1.0, abs(polished[end][0]))
-        ):
-            if polished[end][1] < val:
-                x, val = polished[end]
-            end = end + 1
-        if val < tol_at(x):
+    for x, val in clusters:
+        x2 = x * x  # the docstring's bar, once per cluster
+        if val < 1e-9 * max(1.0, abs(a0), x2 * x2, abs(a3 * x2 * x), abs(a2 * x2), abs(a1 * x)):
             roots.append(x)
         else:
             stalls.append((x, val))
-        idx = end
     for x, val in stalls:
         h = 1e-5 * max(1.0, abs(x))
         if not poly(x - h) * poly(x + h) > 0.0 and not any(abs(x - y) <= h for y in roots):
@@ -501,19 +492,18 @@ def _singular_candidates(acc: NormalAccumulators, lam: float) -> list[tuple[floa
     # moves with it, pinning the solution line independently of lam's error
     shift = nulled[0][0] if len(nulled) == 1 else 0.0
     w0 = [0.0, 0.0]
-    null_dirs = [v for _, v in nulled]
     for eig, v in kept:
         proj = acc.b1 * v[0] + acc.b2 * v[1]
         w0[0] += proj / (eig - shift) * v[0]
         w0[1] += proj / (eig - shift) * v[1]
-    for v in null_dirs:
+    for _, v in nulled:
         # intersect {w0 + t v} with the unit circle: t^2 + 2 t (w0.v) + |w0|^2 - 1 = 0;
         # near tangency the discriminant sits at the noise floor, so rescue the
         # vertex and let the caller's circle-distance filter judge it
         dot = w0[0] * v[0] + w0[1] * v[1]
         for t in _quadratic_roots(2.0 * dot, w0[0] ** 2 + w0[1] ** 2 - 1.0):
             cands.append((w0[0] + t * v[0], w0[1] + t * v[1]))
-    if not null_dirs:
+    if not nulled:
         cands.append((w0[0], w0[1]))
     return cands
 
@@ -526,42 +516,39 @@ def rotation_candidates(acc: NormalAccumulators) -> list[RotationEstimate]:
     to rank deficient, or the divided point lands off the unit circle,
     the singular path is solved as well and its points are added; near
     the deficiency boundary division loses most of its digits, so both
-    answers are kept and cost selection arbitrates.  Candidates further
-    than 1e-6 from the unit circle are discarded; survivors are
-    renormalized and sorted by the accumulated squared residual (ties by
-    angle, for determinism).
+    answers are kept and cost selection arbitrates.  One loop then takes
+    the points in that order: it discards those further than 1e-6 from
+    the unit circle, renormalizes and polishes the rest, and drops a
+    point within 1e-7 of an earlier candidate.  The candidates are
+    sorted by the accumulated squared residual (ties by angle, for
+    determinism).
 
     More than one candidate can tie at zero cost: when all features share
     one depth, every pair yields the same constraint line, which cuts the
     unit circle twice.  Rotation cost alone cannot split that tie; the
     pose-level selection in estimate_pose does.
     """
-    c1, c2, c3, c4 = quartic_coeffs(acc)
-    lams = solve_quartic(c1, c2, c3, c4)
     scale = max(1.0, acc.a1 + acc.a3)
+    points: list[tuple[float, float, float]] = []  # (lam, s, c), in the order tried
+    for lam in solve_quartic(*quartic_coeffs(acc)):
+        den = (acc.a1 + lam) * (acc.a3 + lam) - acc.a2 * acc.a2
+        if abs(den) > 1e-12 * scale * scale:
+            s = ((acc.a3 + lam) * acc.b1 - acc.a2 * acc.b2) / den
+            c = ((acc.a1 + lam) * acc.b2 - acc.a2 * acc.b1) / den
+            points.append((lam, s, c))
+            if abs(den) > 1e-6 * scale * scale and not abs(s * s + c * c - 1.0) >= 1e-6:
+                # division is reliable: well conditioned, and on the circle (a NaN
+                # point counts as on it, as it does in the filter below)
+                continue
+        points.extend((lam, s, c) for s, c in _singular_candidates(acc, lam))
     found: list[RotationEstimate] = []
-
-    def admit(s: float, c: float) -> bool:
+    for lam, s, c in points:
         if abs(s * s + c * c - 1.0) >= 1e-6:
-            return False
+            continue
         norm = math.hypot(s, c)
         s, c = _polish_on_circle(acc, s / norm, c / norm)
-        if any(math.hypot(s - r.sin_theta, c - r.cos_theta) < 1e-7 for r in found):
-            return True
-        found.append(RotationEstimate(s, c, lam, _rotation_cost(acc, s, c)))
-        return True
-
-    for lam in lams:
-        den = (acc.a1 + lam) * (acc.a3 + lam) - acc.a2 * acc.a2
-        divided_ok = False
-        if abs(den) > 1e-12 * scale * scale:
-            divided_ok = admit(
-                ((acc.a3 + lam) * acc.b1 - acc.a2 * acc.b2) / den,
-                ((acc.a1 + lam) * acc.b2 - acc.a2 * acc.b1) / den,
-            )
-        if not divided_ok or abs(den) <= 1e-6 * scale * scale:
-            for s, c in _singular_candidates(acc, lam):
-                admit(s, c)
+        if not any(math.hypot(s - r.sin_theta, c - r.cos_theta) < 1e-7 for r in found):
+            found.append(RotationEstimate(s, c, lam, _rotation_cost(acc, s, c)))
     found.sort(key=lambda r: (r.residual, math.atan2(r.sin_theta, r.cos_theta)))
     return found
 
@@ -681,32 +668,28 @@ def estimate_pose(pairs: list[MatchedPair]) -> PlanarTransformEstimate:
     if acc.a1 == 0.0 and acc.a3 == 0.0:
         raise DegenerateGeometry("feature pairs carry no rotation information")
     rows = acc.rows
-    best: PlanarTransformEstimate | None = None
-    best_key: tuple[float, float] | None = None
+    best = None  # (key, rotation, t_x, t_y, translation residual) of the winner so far
     for rot in rotation_candidates(acc):
         # resid >= 0 and rounding is monotone, so the key's first entry is
         # at least rot.residual; continue, not break, so that a NaN cost in
         # the sort cannot hide a cheaper candidate later in the list
-        if best_key is not None and rot.residual > best_key[0]:
+        if best is not None and rot.residual > best[0][0]:
             continue
         t_x, t_y = _translation(rows, rot.sin_theta, rot.cos_theta)
         resid = _residual(rows, rot.sin_theta, rot.cos_theta, t_x, t_y)
-        phi = math.atan2(rot.sin_theta, rot.cos_theta)
-        key = (rot.residual + resid, phi)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = PlanarTransformEstimate(PlanarTransform(phi, t_x, t_y), rot, resid)
+        key = (rot.residual + resid, math.atan2(rot.sin_theta, rot.cos_theta))
+        if best is None or key < best[0]:
+            best = (key, rot, t_x, t_y, resid)
     if best is None:
         raise DegenerateGeometry("no multiplier root admits a unit-circle solution")
 
-    rot, g = best.rotation, best.transform
-    delta = _gauss_newton_step(rows, rot.sin_theta, rot.cos_theta, g.t_x, g.t_y)
-    if delta is None:
-        return best
-    phi, t_x, t_y = g.phi + delta[0], g.t_x + delta[1], g.t_y + delta[2]
-    s, c = math.sin(phi), math.cos(phi)
-    resid = _residual(rows, s, c, t_x, t_y)
-    rot_rise = _rotation_cost_change(acc, rot.sin_theta, rot.cos_theta, s, c)
-    if not (resid <= best.translation_residual and rot_rise <= 1e-12 * max(1.0, acc.a1 + acc.a3)):
-        return best
+    (_, phi), rot, t_x, t_y, resid = best
+    delta = _gauss_newton_step(rows, rot.sin_theta, rot.cos_theta, t_x, t_y)
+    if delta is not None:
+        phi_gn, t_x_gn, t_y_gn = phi + delta[0], t_x + delta[1], t_y + delta[2]
+        s, c = math.sin(phi_gn), math.cos(phi_gn)
+        resid_gn = _residual(rows, s, c, t_x_gn, t_y_gn)
+        rot_rise = _rotation_cost_change(acc, rot.sin_theta, rot.cos_theta, s, c)
+        if resid_gn <= resid and rot_rise <= 1e-12 * max(1.0, acc.a1 + acc.a3):
+            phi, t_x, t_y, resid = phi_gn, t_x_gn, t_y_gn, resid_gn
     return PlanarTransformEstimate(PlanarTransform(phi, t_x, t_y), rot, resid)

@@ -8,12 +8,17 @@ import pytest
 
 from servopark.closed_loop_sim import case_scenarios, run
 from servopark.geometry import (
+    CameraIntrinsics,
     FeaturePoint3,
     NormalizedFeature,
     PlanarTransform,
     transform_point,
 )
 from servopark.pose_estimator import MatchedPair
+
+# The 160 px-focal camera of acceptance criterion 8: the default six-point
+# board stays in view along the whole of every built-in case.
+WIDE_CAMERA = CameraIntrinsics(160.0, 160.0, 400.0, 160.0, 800, 320, 0.1)
 
 
 @dataclass(frozen=True)

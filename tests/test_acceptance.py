@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import grid_cost_min, random_scene, rotation_cost_of
+from conftest import WIDE_CAMERA, grid_cost_min, random_scene, rotation_cost_of
 from servopark.cli import main as cli_main
 from servopark.closed_loop_sim import (
     GoalUpdate,
@@ -25,15 +25,13 @@ from servopark.closed_loop_sim import (
 )
 from servopark.error_state import AnchorDepth, ChainedState
 from servopark.errors import InvalidParams
-from servopark.geometry import CameraIntrinsics, Pose2, wrap_angle
+from servopark.geometry import Pose2, wrap_angle
 from servopark.parking_controller import (
     ControllerParams,
     compute_gains,
     riccati_residual,
 )
 from servopark.pose_estimator import accumulate, estimate_pose, rotation_candidates
-
-WIDE_CAMERA = CameraIntrinsics(160.0, 160.0, 400.0, 160.0, 800, 320, 0.1)
 
 
 def _report(num, ok, detail):

@@ -224,6 +224,7 @@ class TestRunCommand:
         ),
     }
 
+    @pytest.mark.pinned
     @pytest.mark.parametrize("case", sorted(_RECORDED_BYTES))
     def test_recorded_case_bytes(self, tmp_path, case):
         rc, _, _ = _call(["run", "--case", case, "--plot", "--out", str(tmp_path)])
@@ -234,6 +235,7 @@ class TestRunCommand:
         )
         assert digests == self._RECORDED_BYTES[case]
 
+    @pytest.mark.pinned
     def test_recorded_held_run_bytes(self, tmp_path):
         # a noisy estimated run with 6 held rows: NaN inputs, "held" labels and
         # the carried in_gamma, which no ground-truth case writes
@@ -426,6 +428,7 @@ class TestEstimateRoundTrip:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() != c.read_bytes()
 
+    @pytest.mark.pinned
     def test_noisy_gen_recorded_bytes(self, tmp_path):
         out = tmp_path / "pairs.csv"
         rc, _, _ = _call([

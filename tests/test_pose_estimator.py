@@ -22,7 +22,6 @@ from servopark.errors import (
     NumericalFailure,
 )
 from servopark.geometry import (
-    CameraIntrinsics,
     NormalizedFeature,
     relative_transform,
     wrap_angle,
@@ -40,11 +39,15 @@ from servopark.pose_estimator import (
     solve_quartic,
 )
 
-from conftest import board_scene, grid_cost_min, pair_coeffs, random_scene, rotation_cost_of
+from conftest import (
+    WIDE_CAMERA,
+    board_scene,
+    grid_cost_min,
+    pair_coeffs,
+    random_scene,
+    rotation_cost_of,
+)
 
-# The 160 px-focal camera of acceptance criterion 8: the default six-point
-# board stays in view along the whole of every built-in case.
-WIDE_CAMERA = CameraIntrinsics(160.0, 160.0, 400.0, 160.0, 800, 320, 0.1)
 CASE1_STEPS = (0, 1000, 2000, 3000, 4000, 5250)
 
 
@@ -543,6 +546,22 @@ class TestEstimateRotation:
             best, _ = grid_cost_min(pairs)
             assert mine <= best + 1e-12
 
+    def test_candidates_are_distinct_ranked_roots(self, rng, case_runs):
+        scenes = [random_scene(rng)[1] for _ in range(50)]
+        for noise_px in (0.0, 0.5):
+            scenes += _case1_board_views(case_runs, noise_px).values()
+        for pairs in scenes:
+            acc = accumulate(pairs)
+            cands = rotation_candidates(acc)
+            assert cands
+            for i, a in enumerate(cands):
+                for b in cands[i + 1:]:
+                    assert math.hypot(a.sin_theta - b.sin_theta, a.cos_theta - b.cos_theta) >= 1e-7
+            keys = [(r.residual, math.atan2(r.sin_theta, r.cos_theta)) for r in cands]
+            assert keys == sorted(keys)
+            lams = solve_quartic(*quartic_coeffs(acc))
+            assert all(r.lam in lams for r in cands)
+
     def test_tangent_well_regression(self):
         # near-goal flat-board accumulators whose two zero-cost rotations
         # sit 7e-6 apart; the eigen-path must keep both, not the saddle
@@ -757,6 +776,7 @@ class TestEstimatePose:
             "noisy_12": noisy,
         }
 
+    @pytest.mark.pinned
     def test_recorded_bits(self):
         refused = 0
         for name, pairs in self._golden_scenes().items():
@@ -860,6 +880,7 @@ class TestEstimatePose:
         ),
     }
 
+    @pytest.mark.pinned
     def test_recorded_board_bits(self, case_runs):
         scenes = {}
         for tag, noise_px in (("case1", 0.0), ("case1_noisy", 0.5)):

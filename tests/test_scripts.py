@@ -45,6 +45,7 @@ def test_script_runs(capsys, name, argv, first_column):
     assert len(lines) == 3
 
 
+@pytest.mark.pinned
 def test_noise_sweep_table_is_pinned(capsys):
     assert _load("noise_sweep").main(["--sigmas", "0", "0.5", "--trials", "5", "--seed", "3"]) == 0
     assert capsys.readouterr().out == NOISE_SWEEP_TABLE
