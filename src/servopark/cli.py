@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 from itertools import chain
 from operator import attrgetter
 from typing import get_args, get_origin, get_type_hints
@@ -21,6 +21,7 @@ from .closed_loop_sim import (
     PerceptionMode,
     Scenario,
     TrajectoryLog,
+    TrajectorySample,
     case_scenarios,
     generate_observations,
     run,
@@ -32,36 +33,29 @@ from .pose_estimator import MatchedPair, estimate_pose
 
 SEED_ENV_VAR = "SERVOPARK_SEED"
 
+# The printf format of one CSV value, by its kind.
+_FORMAT = {float: "%.17g", bool: "%d", int: "%d", str: "%s"}
+
+
+def _columns(record) -> list[tuple[str, str]]:
+    """``record``'s fields in order as (name, format), each field that is
+    itself a record spread into its own fields."""
+    return [
+        column
+        for name, kind in get_type_hints(record).items()
+        for column in ([(name, _FORMAT[kind])] if kind in _FORMAT else _columns(kind))
+    ]
+
+
 # One row per column of <name>_traj.csv, in file order: header name and
-# printf format.  TrajectoryLog.rows() gives a sample's values in this order.
-TRAJ_COLUMNS = (
-    ("t", "%.17g"),
-    ("x", "%.17g"),
-    ("y", "%.17g"),
-    ("theta", "%.17g"),
-    ("z0", "%.17g"),
-    ("z1", "%.17g"),
-    ("z2", "%.17g"),
-    ("v", "%.17g"),
-    ("omega", "%.17g"),
-    ("u0", "%.17g"),
-    ("u1", "%.17g"),
-    ("u0_branch", "%s"),
-    ("u1_branch", "%s"),
-    ("in_gamma", "%d"),
-    ("est_angle_err", "%.17g"),
-    ("est_trans_err", "%.17g"),
-    ("visible_count", "%d"),
-)
+# printf format, TrajectorySample's fields spread out.  TrajectoryLog.rows()
+# gives a sample's values in this order.
+TRAJ_COLUMNS = tuple(_columns(TrajectorySample))
 
 # The columns of a pairs file, one MatchedPair per row: header name, which
 # is also the attribute the column reads, and printf format.
-PAIRS_COLUMNS = (
-    ("x_cur", "%.17g"),
-    ("y_cur", "%.17g"),
-    ("x_ref", "%.17g"),
-    ("y_ref", "%.17g"),
-    ("X_star", "%.17g"),
+PAIRS_COLUMNS = tuple(
+    (name, _FORMAT[float]) for name in ("x_cur", "y_cur", "x_ref", "y_ref", "X_star")
 )
 
 TRAJ_HEADER = ",".join(name for name, _ in TRAJ_COLUMNS)
@@ -84,7 +78,9 @@ def write_traj_csv(path: str, log: TrajectoryLog) -> None:
 
 
 def write_z0z1_csv(path: str, log: TrajectoryLog) -> None:
-    rows = ("%.17g,%.17g" % (r[0], abs(r[4]) + abs(r[5])) for r in log.rows())  # t, z0, z1
+    t, z0, z1 = map(TRAJ_HEADER.split(",").index, ("t", "z0", "z1"))
+    row = f"{_FORMAT[float]},{_FORMAT[float]}"
+    rows = (row % (r[t], abs(r[z0]) + abs(r[z1])) for r in log.rows())
     _write_lines(path, chain(("t,z0z1",), rows))
 
 
@@ -158,6 +154,18 @@ def _record(cls, obj, path: str, defaults: dict | None = None):
     kwargs = dict(defaults or {})
     kwargs.update((k, _value(types[k], obj[k], f"{path}.{k}")) for k in names if k in obj)
     return cls(**kwargs)
+
+
+def _plain(obj):
+    """The JSON value of ``obj``, the inverse of ``_value``: a dataclass
+    becomes its fields in order, a tuple a list, a PerceptionMode its value."""
+    if is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, tuple):
+        return [_plain(item) for item in obj]
+    if isinstance(obj, PerceptionMode):
+        return obj.value
+    return obj
 
 
 def scenario_from_dict(obj: dict, default_name: str = "unnamed") -> Scenario:
@@ -264,13 +272,16 @@ def _apply_overrides(args, scenario: Scenario) -> Scenario:
 
 
 def _run_outcome(out_dir: str, scenario: Scenario, plot: bool) -> tuple[int, dict]:
-    """Run ``scenario`` and write its files, also for a starved run.
+    """Write ``scenario`` as ``<name>_scenario.json``, which ``run --config``
+    reruns, then run it and write its files, also for a starved run.
 
     Returns the exit code (0 converged, 2 not converged, 3 starved) and the
     run's cases_summary.json entry: its status (and a starved run's error),
     then its summary fields.
     """
     os.makedirs(out_dir, exist_ok=True)
+    base = os.path.join(out_dir, scenario.name)
+    _write_lines(base + "_scenario.json", [json.dumps(_plain(scenario), indent=2)])
     try:
         log, summary = run(scenario)
     except EstimatorStarvation as exc:
@@ -279,7 +290,6 @@ def _run_outcome(out_dir: str, scenario: Scenario, plot: bool) -> tuple[int, dic
     else:
         code, status = (0, "converged") if summary.converged else (2, "not_converged")
         entry = {"status": status}
-    base = os.path.join(out_dir, scenario.name)
     write_traj_csv(base + "_traj.csv", log)
     _write_lines(base + "_summary.json", [json.dumps(asdict(summary), indent=2)])
     if plot:

@@ -156,6 +156,25 @@ class TestRunCommand:
         summary = json.loads((tmp_path / f"{case}_summary.json").read_text())
         assert summary["samples"] == samples
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["--case", "case3", "--dt", "0.02"], 0),
+         (["--case", "case1", "--perception", "estimated"], 3)],  # starves on the default camera
+        ids=["ground_truth", "starved"],
+    )
+    def test_scenario_file_reruns_the_run(self, tmp_path, monkeypatch, argv, code):
+        # <name>_scenario.json holds the scenario after the overrides and the seed,
+        # so run --config on it writes the same files and exits the same way
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        name, first, again = argv[1], tmp_path / "first", tmp_path / "again"
+        assert _call(["run", *argv, "--plot", "--out", str(first)])[0] == code
+        config = str(first / f"{name}_scenario.json")
+        assert _call(["run", "--config", config, "--plot", "--out", str(again)])[0] == code
+        for suffix in ("_traj.csv", "_summary.json", "_z0z1.csv", "_scenario.json"):
+            assert (again / f"{name}{suffix}").read_bytes() == (
+                first / f"{name}{suffix}"
+            ).read_bytes(), suffix
+
     def test_missing_config(self, tmp_path):
         rc, _, err = _call(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
         assert rc == 1
@@ -629,6 +648,7 @@ class TestCasesCommand:
             for mode in ("ground_truth", "estimated"):
                 assert f"{case}_{mode}_traj.csv" in names
                 assert f"{case}_{mode}_summary.json" in names
+                assert f"{case}_{mode}_scenario.json" in names
         summary = json.loads((tmp_path / "cases_summary.json").read_text())
         assert set(summary) == {"case1", "case2", "case3", "case4"}
         for case in summary.values():

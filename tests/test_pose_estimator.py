@@ -3,10 +3,13 @@
 import copy
 import dataclasses
 import gc
+import hashlib
+import importlib
 import math
 import pickle
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +52,8 @@ from conftest import (
 )
 
 CASE1_STEPS = (0, 1000, 2000, 3000, 4000, 5250)
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"  # read only, for the pool pin
 
 
 def _identity_pairs():
@@ -705,6 +710,14 @@ class TestEstimatePose:
         with pytest.raises(DegenerateGeometry):
             estimate_pose(same)
 
+    def test_no_candidate_reported(self, monkeypatch):
+        # the rotation stage always yields a candidate on real input, so the
+        # guard after the candidate loop is reached only with an empty list
+        monkeypatch.setattr(pose_estimator, "rotation_candidates", lambda acc: [])
+        _, pairs = random_scene(np.random.default_rng(17), n_min=6, n_max=6)
+        with pytest.raises(DegenerateGeometry, match="no multiplier root admits"):
+            estimate_pose(pairs)
+
     def test_singular_translation_reported_as_itself(self):
         # den = n * sum(1 + x^2) - (sum x)^2 rounds to 0 at |x| = 1e8, for
         # every rotation candidate alike, since it depends on the features only
@@ -901,6 +914,24 @@ class TestEstimatePose:
                 assert estimate_translation(pairs, r) == (g.t_x, g.t_y), name
                 refused += 1
         assert refused == 6  # every noisy view refuses the polish, no noise-free one does
+
+    # SHA-256 of bench/checks.bits of every estimate over the benchmark's
+    # estimate_scenes pool (bench/workloads.py, make_scenes(0)), scene by
+    # scene in pool index order, each scene's pairs then their permuted copy.
+    # A benchmark change to make_scene re-records it.
+    POOL_DIGEST = "bddc0f4d1afd0b521d1462781e08d89e6b8d9fa746df65f73bcc6f563e0e1504"
+
+    @pytest.mark.pinned
+    def test_recorded_pool_digest(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCH))
+        workloads, checks = map(importlib.import_module, ("workloads", "checks"))
+        scenes = sorted(workloads.make_scenes(0), key=lambda scene: scene.index)
+        assert len(scenes) == 2016
+        h = hashlib.sha256()
+        for scene in scenes:
+            h.update(checks.bits(estimate_pose(scene.pairs)))
+            h.update(checks.bits(estimate_pose(scene.permuted)))
+        assert h.hexdigest() == self.POOL_DIGEST
 
     def test_residuals_reported(self, rng):
         g, pairs = random_scene(rng)

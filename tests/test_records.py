@@ -49,6 +49,11 @@ def test_every_record_is_slotted_and_frozen():
         assert not hasattr(instance, "__dict__"), name
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(instance, dataclasses.fields(cls)[0].name, 0.0)
+        # a name that is no field is refused too; CPython 3.11 raises TypeError
+        # (the frozen __setattr__ calls super() with the class before slotting)
+        with pytest.raises((AttributeError, TypeError)):
+            setattr(instance, "extra", 0.0)
+        assert not hasattr(instance, "extra"), name
     # packed bytes, not a dataclass: the same three properties, on a built pair
     assert "__slots__" in vars(MatchedPair)
     pair = MatchedPair(NormalizedFeature(0.1, 0.2), NormalizedFeature(0.15, 0.22), 3.0)

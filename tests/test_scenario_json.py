@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import servopark
+from servopark import cli
 from servopark.cli import scenario_from_dict
 from servopark.closed_loop_sim import ConvergenceSpec, GoalUpdate, PerceptionMode, Scenario
 from servopark.errors import ConfigError
@@ -156,6 +157,36 @@ def test_readme_example_parses():
         anchor_index=None,
         goal_updates=(GoalUpdate(10.0, Pose2(6.0, 4.5, 0.2)),),
     )
+
+
+def test_written_scenario_parses_back_equal():
+    # the README scenario writes back as the README's own JSON, key for key
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
+        section = f.read().split("### Scenario JSON", 1)[1]
+    block = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    readme = scenario_from_dict(block)
+    assert json.dumps(cli._plain(readme)) == json.dumps(block)
+    # and every field off its default reads back to an equal scenario, bit for bit
+    sc = Scenario(
+        name="everything",
+        initial_pose=Pose2(-0.0, 0.1 + 0.2, 3.0),
+        goal_pose=Pose2(1e-300, -2.5, -1.0),
+        object_features=(FeaturePoint3(3.0, -0.5, 0.6), FeaturePoint3(4.0, 0.25, -0.3)),
+        intrinsics=CameraIntrinsics(160.0, 160.0, 400.0, 160.0, 800, 320, 0.1),
+        controller=ControllerParams(0.3, 0.25, 2.25, 0.001, 25.0),
+        limits=TwistLimits(0.5, 0.75),
+        dt=0.02,
+        t_max=12.5,
+        perception_mode=PerceptionMode.ESTIMATED,
+        pixel_noise_sigma=0.5,
+        rng_seed=7,
+        convergence=ConvergenceSpec(0.01, 0.005),
+        anchor_index=1,
+        goal_updates=(GoalUpdate(2.0, Pose2(1.0, 1.0, 0.5)), GoalUpdate(4.0, Pose2(0.0, 0.0, 0.0))),
+    )
+    back = scenario_from_dict(json.loads(json.dumps(cli._plain(sc))))
+    assert back == sc
+    assert repr(back) == repr(sc)  # -0.0 keeps its sign
 
 
 def test_readme_library_example_runs():
